@@ -758,7 +758,9 @@ def _conditional_sites(func: ast.FunctionDef) -> List:
     ]
 
 
-def repair_neighbors(source: str, name: str) -> Iterator[Tuple[str, str]]:
+def repair_neighbors(
+    source: str, name: str, start: int = 0, indexed: bool = False
+) -> Iterator[Tuple]:
     """Deterministic ``(kind, text)`` repair-edit stream for a near-miss.
 
     Each yielded text is ``source`` with one AST edit applied — the
@@ -770,12 +772,16 @@ def repair_neighbors(source: str, name: str) -> Iterator[Tuple[str, str]]:
     (``cast_insert``: every expression slot x every integer type) come
     last.
 
-    The stream carries no RNG and its order depends only on ``source``:
-    the beam search persists a cursor into it and reproduces the exact
-    continuation on ``--resume``.  It is lazy — one AST deep copy per
-    *consumed* neighbor.  Sources that do not parse or do not define
-    ``name`` yield nothing (``parse_error`` candidates cannot be repaired
-    by AST edits).
+    The stream carries no RNG and its order depends only on ``source``.
+    It walks a fixed list of edits and is lazy: one :func:`ast.clone`,
+    edit and print per *consumed* edit.  Edits that fail or leave the
+    text unchanged yield nothing.  ``start`` is an index into that edit
+    list: the stream begins at ``edits[start:]`` without building the
+    ones before it.  With ``indexed=True`` each item is
+    ``(index, kind, text)``, and ``start=index + 1`` continues right after
+    it; the beam search persists that cursor and resumes from it.
+    Sources that do not parse or do not define ``name`` yield nothing
+    (``parse_error`` candidates cannot be repaired by AST edits).
     """
     try:
         base = parse_program(source)
@@ -867,8 +873,9 @@ def repair_neighbors(source: str, name: str) -> Iterator[Tuple[str, str]]:
                 ("cast_insert", lambda f, s=slot_index, t=ctype: _insert_cast(f, s, t))
             )
 
-    for kind, edit in edits:
-        program = copy.deepcopy(base)
+    for index in range(start, len(edits)):
+        kind, edit = edits[index]
+        program = ast.clone(base)
         edited = program.function(name)
         assert edited is not None
         try:
@@ -877,4 +884,4 @@ def repair_neighbors(source: str, name: str) -> Iterator[Tuple[str, str]]:
             continue
         text = print_program(program)
         if text != source:
-            yield kind, text
+            yield (index, kind, text) if indexed else (kind, text)

@@ -27,6 +27,13 @@ and the campaign JSON written after every round lets
 from where a killed run stopped (the file intentionally contains no
 timestamps).
 
+Each target persists a cursor into the neighbor stream of the source it
+is expanding: an index into that source's edit list, so a round (or a
+resumed run) continues with ``repair_neighbors(..., start=cursor)`` and
+builds each neighbor once.  Campaign documents carry
+:data:`CAMPAIGN_SCHEMA`; schema 1, whose cursor counted yielded neighbors,
+cannot be resumed.
+
 Typical invocations::
 
     python -m repro.eval.repair --seed 0 --functions 50 --candidates 8 \\
@@ -74,6 +81,9 @@ REPAIRABLE_VERDICTS: Tuple[str, ...] = ("io_mismatch", "type_error", "trap")
 #: than this is a ``limit`` outcome either way.
 REPAIR_RUN_TIMEOUT = 1.0
 
+#: Version of the campaign document; only this version can be resumed.
+CAMPAIGN_SCHEMA = 2
+
 
 @dataclass
 class RepairConfig:
@@ -95,6 +105,17 @@ class RepairConfig:
     #: Stop after this many rounds per target (None = run to completion);
     #: the partial campaign file is resumable.
     max_rounds: Optional[int] = None
+
+
+def _check_schema(state: Dict[str, Any]) -> None:
+    """Raise ``ValueError`` unless ``state`` is a resumable campaign document."""
+    schema = state.get("schema")
+    if schema != CAMPAIGN_SCHEMA:
+        raise ValueError(
+            f"the campaign file has schema {schema!r}, but this version resumes "
+            f"only schema {CAMPAIGN_SCHEMA} (the neighbor cursor changed meaning); "
+            f"start the campaign again without --resume"
+        )
 
 
 def _hash_source(source: str) -> str:
@@ -146,14 +167,15 @@ def _collect_chunk(
 ) -> List[Tuple[str, str, int]]:
     """The next up-to-``chunk`` unvisited ``(kind, text, depth)`` neighbors.
 
-    Advances the target's expansion cursor; everything consumed from the
-    neighbor stream — scheduled or skipped as already visited — bumps the
-    cursor, so re-generating the stream and skipping ``cursor`` items
-    reproduces the exact continuation after a resume.  A chunk may span
-    several expansion roots (when one root's stream runs dry the best
-    frontier member is popped next), which is why each neighbor carries
-    its own depth.  Marks the target ``exhausted`` (and returns ``[]``)
-    when the budget is spent or there is nothing left to expand.
+    Advances the target's expansion cursor, an index into the expanding
+    source's edit list (see :func:`repro.eval.mutate.repair_neighbors`):
+    after every neighbor consumed — scheduled or skipped as already
+    visited — it points just past that neighbor's edit, so the next chunk
+    (or a resumed run) continues the stream from exactly there.  A chunk
+    may span several expansion roots (when one root's stream runs dry the
+    best frontier member is popped next), which is why each neighbor
+    carries its own depth.  Marks the target ``exhausted`` (and returns
+    ``[]``) when the budget is spent or there is nothing left to expand.
     """
     room = config.budget - target["attempts_used"]
     if room <= 0:
@@ -174,14 +196,12 @@ def _collect_chunk(
                 "cursor": 0,
             }
         expanding = target["expanding"]
-        stream = repair_neighbors(expanding["source"], entry.name)
-        consumed = 0
+        stream = repair_neighbors(
+            expanding["source"], entry.name, start=expanding["cursor"], indexed=True
+        )
         exhausted_stream = True
-        for kind, text in stream:
-            if consumed < expanding["cursor"]:
-                consumed += 1
-                continue
-            expanding["cursor"] += 1
+        for index, kind, text in stream:
+            expanding["cursor"] = index + 1
             digest = _hash_source(text)
             if digest in visited:
                 continue
@@ -359,7 +379,7 @@ def _campaign_json(
     targets: List[Dict[str, Any]], config: RepairConfig, extra_config: Dict[str, Any]
 ) -> Dict[str, Any]:
     return {
-        "schema": 1,
+        "schema": CAMPAIGN_SCHEMA,
         "config": {
             **extra_config,
             "backend": config.backend,
@@ -405,6 +425,7 @@ def repair_campaign(
     entries_by_uid = {entry.uid: entry for entry in entries}
 
     if state is not None:
+        _check_schema(state)
         targets = [dict(t) for t in state["targets"]]
     else:
         if baseline is None:
@@ -592,6 +613,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 state = json.load(handle)
         except FileNotFoundError:
             raise SystemExit(f"error: --resume: no campaign file at {args.output!r}")
+        try:
+            _check_schema(state)
+        except ValueError as exc:
+            raise SystemExit(f"error: --resume: {exc}")
         stored = state.get("config", {})
         want = {**extra_config, **{
             "backend": backend,

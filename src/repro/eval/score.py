@@ -50,7 +50,6 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -82,10 +81,9 @@ from repro.testing.frontend import CaseContext
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
 def _token_texts(source: str) -> Optional[Tuple[str, ...]]:
-    # Cached because every candidate is compared against the same reference
-    # source; callers only read the returned tuple.
+    # No cache of its own: ``tokenize``'s memo already holds the reference
+    # and the candidate the gate and the cache digest just lexed.
     try:
         return tuple(t.text for t in tokenize(source) if t.kind is not TokenKind.EOF)
     except LexError:

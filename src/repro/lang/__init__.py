@@ -20,14 +20,13 @@ flow (``if``/``while``/``for``/``break``/``continue``/``return``) and calls
 to other functions including a small builtin libc.
 """
 
-from repro.lang.lexer import Lexer, Token, TokenKind, tokenize
+from repro.lang.lexer import Token, TokenKind, tokenize
 from repro.lang.parser import ParseError, Parser, parse_program
 from repro.lang.printer import print_program
 from repro.lang.typecheck import TypeChecker, TypeCheckError
 from repro.lang.interpreter import Interpreter, RuntimeLimitExceeded, CInterpreterError
 
 __all__ = [
-    "Lexer",
     "Token",
     "TokenKind",
     "tokenize",

@@ -4,14 +4,31 @@ The lexer converts a source string into a flat list of :class:`Token`
 objects.  It understands the subset of C used throughout the reproduction:
 identifiers, keywords, integer / floating point / character / string
 literals, all the multi-character operators and punctuation, and both
-``//`` and ``/* ... */`` comments (which are discarded).
+``//`` and ``/* ... */`` comments (which are discarded, like ``#`` lines).
+
+Design.  :func:`tokenize` is one pass of a single compiled master regex:
+each alternative is a named group (whitespace, comments, identifiers,
+numbers, literals, punctuation, and catch-alls for the three unterminated
+forms and for a stray character), and the loop only dispatches on the
+group that matched.  Line/column positions are tracked from the newlines
+inside the whitespace, comment and literal matches.  Character classes
+follow ``str.isalpha``/``str.isdigit``/``str.isalnum``, not ``\\w``/``\\d``
+(a superscript two is a digit to ``isdigit`` but not to ``\\d``): ASCII
+sources use an ASCII pattern; the first non-ASCII source compiles the
+Unicode one, whose classes come from one scan of the code points.
+
+Candidate scoring lexes each source several times (the cache digest, the
+edit similarity and the parser), so ``tokenize`` keeps a small LRU memo of
+its latest results, failures included.  The memo is bounded to a handful of
+sources: those callers run back to back on one candidate.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, List
+import functools
+import re
+from typing import List, Pattern, Tuple, Union
 
 
 class TokenKind(enum.Enum):
@@ -122,11 +139,11 @@ class LexError(Exception):
 
     def __init__(self, message: str, line: int, column: int) -> None:
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
@@ -136,12 +153,29 @@ class Token:
             and character literals are *not* resolved here).
         line: 1-based source line.
         column: 1-based source column.
+
+    Tokens compare and hash by their four fields.  They are shared between
+    the callers of the :func:`tokenize` memo, so treat them as immutable.
     """
 
-    kind: TokenKind
-    text: str
-    line: int = 0
-    column: int = 0
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: TokenKind, text: str, line: int = 0, column: int = 0) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+
+    def _fields(self) -> Tuple[TokenKind, str, int, int]:
+        return (self.kind, self.text, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -153,157 +187,174 @@ class Token:
         return f"Token({self.kind.value}, {self.text!r})"
 
 
-class Lexer:
-    """Streaming lexer over a Mini-C source string."""
+# ---------------------------------------------------------------------------
+# The master regex
+# ---------------------------------------------------------------------------
 
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
+def _master(ident: str, digit: str) -> Pattern[str]:
+    """The token pattern for one identifier / digit class pair.
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
+    Alternatives sharing a first character keep the old scanner's
+    precedence: comments before ``/``, hex before decimal, a number before
+    ``.``, a terminated literal before its unterminated catch-all.
+    """
+    number = (
+        rf"(?={digit}|\.{digit}){digit}*(?:\.(?!\.){digit}*)?"
+        rf"(?:[eE][+-]?{digit}+)?[uUlLfF]*"
+    )
+    punct = "|".join(re.escape(p) for p in _PUNCTUATIONS)
+    tokens = "|".join(
+        [
+            r"(?P<ws>[ \t\r\n]+)",
+            rf"(?P<ident>{ident})",
+            rf"(?P<punct>(?!/[/*]|\.{digit})(?:{punct}))",
+            r"(?P<hex>0[xX][0-9a-fA-F]*(?P<suffix>[uUlLfF]*))",
+            rf"(?P<number>{number})",
+            # ``#`` lines (e.g. ``#include``) are skipped like comments: the
+            # generator emits self-contained code, but decompiler output
+            # occasionally includes them.
+            r"(?P<line_comment>//[^\n]*|#[^\n]*)",
+            r"(?P<block_comment>/\*[\s\S]*?\*/)",
+            r"(?P<string>\"(?:[^\"\\]|\\[\s\S])*\")",
+            r"(?P<char>'(?:[^'\\]|\\[\s\S])*')",
+            r"(?P<open_comment>/\*)",
+            r"(?P<open_string>\")",
+            r"(?P<open_char>')",
+            r"(?P<bad>[\s\S])",
+        ]
+    )
+    # Blanks after a token ride along with it, halving the match count;
+    # newlines stay in ``ws`` matches, which keep the line count.
+    return re.compile(rf"(?:{tokens})[ \t\r]*")
 
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise LexError("unterminated block comment", self.line, self.column)
-                self._advance(2)
-            elif ch == "#":
-                # Preprocessor lines (e.g. #include) are skipped; the corpus
-                # generator emits self-contained code but decompiler output
-                # occasionally includes them.
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
 
-    def tokens(self) -> Iterator[Token]:
-        """Yield all tokens, ending with a single EOF token."""
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.pos >= len(self.source):
-                yield Token(TokenKind.EOF, "", self.line, self.column)
-                return
-            yield self._next_token()
+_ASCII_MASTER = _master(r"[A-Za-z_][A-Za-z0-9_]*", "[0-9]")
 
-    def _next_token(self) -> Token:
-        line, column = self.line, self.column
-        ch = self._peek()
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier(line, column)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, column)
-        if ch == '"':
-            return self._lex_string(line, column)
-        if ch == "'":
-            return self._lex_char(line, column)
-        for punct in _PUNCTUATIONS:
-            if self.source.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, line, column)
-        raise LexError(f"unexpected character {ch!r}", line, column)
 
-    def _lex_identifier(self, line: int, column: int) -> Token:
-        start = self.pos
-        while self.pos < len(self.source) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
+def _char_class(chars: List[str]) -> str:
+    """A regex character class matching exactly ``chars`` (sorted)."""
+    ranges: List[List[int]] = []
+    for code in map(ord, chars):
+        if ranges and ranges[-1][1] == code - 1:
+            ranges[-1][1] = code
         else:
-            while self._peek().isdigit():
-                self._advance()
-            if self._peek() == "." and self._peek(1) != ".":
-                is_float = True
-                self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-            if self._peek() in "eE" and (
-                self._peek(1).isdigit() or (
-                    self._peek(1) in "+-" and self._peek(2).isdigit()
-                )
-            ):
-                is_float = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek().isdigit():
-                    self._advance()
-        # Suffixes: u, l, ul, ll, f etc.
-        while self._peek() and self._peek() in "uUlLfF":
-            if self._peek() in "fF":
-                is_float = True
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.FLOAT_LIT if is_float else TokenKind.INT_LIT
-        return Token(kind, text, line, column)
+            ranges.append([code, code])
+    body = "".join(
+        re.escape(chr(lo)) if lo == hi else f"{re.escape(chr(lo))}-{re.escape(chr(hi))}"
+        for lo, hi in ranges
+    )
+    return f"[{body}]"
 
-    def _lex_string(self, line: int, column: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.source) and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.source):
-            raise LexError("unterminated string literal", line, column)
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING_LIT, self.source[start : self.pos], line, column)
 
-    def _lex_char(self, line: int, column: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self.pos < len(self.source) and self._peek() != "'":
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if self.pos >= len(self.source):
-            raise LexError("unterminated character literal", line, column)
-        self._advance()
-        return Token(TokenKind.CHAR_LIT, self.source[start : self.pos], line, column)
+@functools.lru_cache(maxsize=None)
+def _unicode_pattern() -> Pattern[str]:
+    """The master regex with the ``str`` predicates' Unicode classes.
+
+    ``\\w`` is exactly ``isalnum() or "_"`` and ``\\d`` is ``isdecimal()``,
+    so only two exception sets are needed: the ``isdigit`` characters that
+    are not decimal (superscripts, circled digits) and the word characters
+    that are neither letters nor decimal digits (fractions, numerals).
+    """
+    digits: List[str] = []
+    numerals: List[str] = []
+    for char in map(chr, range(0x110000)):
+        if char.isnumeric() and not char.isdecimal() and not char.isalpha():
+            numerals.append(char)
+            if char.isdigit():
+                digits.append(char)
+    return _master(rf"(?!{_char_class(numerals)})[^\W\d]\w*", rf"(?:\d|{_char_class(digits)})")
+
+
+#: Groups whose match can span lines, with the token kind they produce.
+_MULTILINE = {
+    "ws": None,
+    "block_comment": None,
+    "string": TokenKind.STRING_LIT,
+    "char": TokenKind.CHAR_LIT,
+}
+_WORD_KIND = {word: TokenKind.KEYWORD for word in KEYWORDS}
+_FLOAT_MARKS = re.compile(r"[.eEfF]")
+
+
+def _lex(source: str) -> List[Token]:
+    """One pass of the master regex over ``source`` (no memo)."""
+    pattern = _ASCII_MASTER if source.isascii() else _unicode_pattern()
+    tokens: List[Token] = []
+    append = tokens.append
+    ident_kind = _WORD_KIND.get
+    IDENT, PUNCT = TokenKind.IDENT, TokenKind.PUNCT
+    INT_LIT, FLOAT_LIT = TokenKind.INT_LIT, TokenKind.FLOAT_LIT
+    float_marks = _FLOAT_MARKS.search
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for match in pattern.finditer(source):
+        group = match.lastgroup
+        text = match[match.lastindex]
+        start = match.start()
+        if group == "ident":
+            append(Token(ident_kind(text, IDENT), text, line, start - line_start + 1))
+        elif group == "punct":
+            append(Token(PUNCT, text, line, start - line_start + 1))
+        elif group == "number":
+            kind = FLOAT_LIT if float_marks(text) else INT_LIT
+            append(Token(kind, text, line, start - line_start + 1))
+        elif group in _MULTILINE:
+            kind = _MULTILINE[group]
+            if kind is not None:
+                append(Token(kind, text, line, start - line_start + 1))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif group == "hex":
+            suffix = match["suffix"]
+            kind = FLOAT_LIT if "f" in suffix or "F" in suffix else INT_LIT
+            append(Token(kind, text, line, start - line_start + 1))
+        elif group == "line_comment":
+            pass
+        elif group == "open_comment":
+            rest = source[start:]
+            if "\n" in rest:
+                line += rest.count("\n")
+                line_start = start + rest.rindex("\n") + 1
+            raise LexError("unterminated block comment", line, len(source) - line_start + 1)
+        elif group == "open_string":
+            raise LexError("unterminated string literal", line, start - line_start + 1)
+        elif group == "open_char":
+            raise LexError("unterminated character literal", line, start - line_start + 1)
+        else:
+            raise LexError(f"unexpected character {text!r}", line, start - line_start + 1)
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens
+
+
+#: Sources kept by the :func:`tokenize` memo.  Scoring one candidate lexes
+#: it three times in a row (parser, cache digest, similarity) next to its
+#: reference, so a handful of entries catch every repeat; each entry holds
+#: about 14 KB of tokens, so a larger memo only costs memory.
+MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _lex_memo(source: str) -> Union[List[Token], Tuple[str, int, int]]:
+    """:func:`_lex`'s tokens, or its failure as ``LexError`` arguments."""
+    try:
+        return _lex(source)
+    except LexError as exc:
+        return (exc.message, exc.line, exc.column)
 
 
 def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` and return the full token list including EOF."""
-    return list(Lexer(source).tokens())
+    """Tokenize ``source`` and return the full token list including EOF.
+
+    Raises :class:`LexError` for input that is not Mini-C.  Results (and
+    failures) of the last :data:`MEMO_SIZE` distinct sources are memoised;
+    each call returns a fresh list over the shared tokens.
+    """
+    result = _lex_memo(source)
+    if isinstance(result, tuple):
+        raise LexError(*result)
+    return list(result)
 
 
 def parse_int_literal(text: str) -> int:

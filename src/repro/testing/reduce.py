@@ -15,7 +15,6 @@ interpreter-vs-native bugs, middle-end bugs and injected miscompiles alike.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -124,8 +123,8 @@ def _render(program: ast.Program) -> str:
 def _candidate_sources(program: ast.Program, name: str) -> Iterator[str]:
     """Enumerate shrunken variants of ``program``, most aggressive first.
 
-    Every yielded source is rendered from a deep copy, so candidates are
-    independent of one another.
+    Every yielded source is rendered from its own :func:`ast.clone` of the
+    program, so candidates are independent of one another.
     """
     func = program.function(name)
     if func is None or func.body is None:
@@ -137,7 +136,7 @@ def _candidate_sources(program: ast.Program, name: str) -> Iterator[str]:
         for stmt_index in reversed(range(len(stmts))):
             if isinstance(stmts[stmt_index], ast.Return):
                 continue
-            clone = copy.deepcopy(program)
+            clone = ast.clone(program)
             clone_lists = list(walk_stmt_lists(clone.function(name)))
             del clone_lists[list_index][stmt_index]
             yield _render(clone)
@@ -160,9 +159,9 @@ def _candidate_sources(program: ast.Program, name: str) -> Iterator[str]:
             elif isinstance(stmt, ast.Block):
                 replacements.append(list(stmt.stmts))
             for replacement in replacements:
-                clone = copy.deepcopy(program)
+                clone = ast.clone(program)
                 clone_lists = list(walk_stmt_lists(clone.function(name)))
-                clone_repl = copy.deepcopy(replacement)
+                clone_repl = ast.clone(replacement)
                 clone_lists[list_index][stmt_index : stmt_index + 1] = clone_repl
                 yield _render(clone)
 
@@ -182,10 +181,10 @@ def _candidate_sources(program: ast.Program, name: str) -> Iterator[str]:
             if not is_loop_cond:
                 replacements.append(ast.IntLiteral(1))
         for replacement in replacements:
-            clone = copy.deepcopy(program)
+            clone = ast.clone(program)
             clone_slots = list(expr_slots(clone.function(name)))
             cparent, cattr, cindex = clone_slots[slot_index]
-            set_slot(cparent, cattr, cindex, copy.deepcopy(replacement))
+            set_slot(cparent, cattr, cindex, ast.clone(replacement))
             yield _render(clone)
 
     # 4. Shrink literals toward zero.
@@ -196,7 +195,7 @@ def _candidate_sources(program: ast.Program, name: str) -> Iterator[str]:
         for shrunk in (0, 1, original.value // 2, -original.value):
             if shrunk == original.value:
                 continue
-            clone = copy.deepcopy(program)
+            clone = ast.clone(program)
             clone_slots = list(expr_slots(clone.function(name)))
             cparent, cattr, cindex = clone_slots[slot_index]
             set_slot(cparent, cattr, cindex, ast.IntLiteral(shrunk))
@@ -206,7 +205,7 @@ def _candidate_sources(program: ast.Program, name: str) -> Iterator[str]:
     used = _used_names(func)
     for decl_index, decl in enumerate(program.decls):
         if isinstance(decl, ast.Declaration) and decl.name not in used:
-            clone = copy.deepcopy(program)
+            clone = ast.clone(program)
             del clone.decls[decl_index]
             yield _render(clone)
 
@@ -236,7 +235,7 @@ def _drop_param_candidates(
     for param_index in reversed(range(len(func.params))):
         if func.params[param_index].name in used:
             continue
-        clone = copy.deepcopy(program)
+        clone = ast.clone(program)
         del clone.function(name).params[param_index]
         new_inputs = [
             tuple(v for j, v in enumerate(vector) if j != param_index)

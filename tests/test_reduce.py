@@ -8,10 +8,20 @@ program), unused parameters and globals are removed, literals shrink, and
 the diverging input vector is isolated.
 """
 
+import hashlib
+import json
+
+from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.printer import print_program
 from repro.lang.typecheck import check_program
+from repro.testing.generator import ProgramGenerator
 from repro.testing.reduce import reduce_case
+
+#: sha256 of the fixed-seed reductions in
+#: :func:`test_reductions_are_byte_identical_on_a_fixed_seed`, recorded when
+#: the reducer still copied programs with ``copy.deepcopy``.
+REDUCED_DIGEST = "40a696145f6798159a1646bee6fac3a804793e2aa6fc24a9186963e61ff8bde9"
 
 BLOATED = """
 int unused_global = 99;
@@ -151,3 +161,26 @@ def test_attempt_budget_is_respected():
         BLOATED, "target", [(1, 2)], never_satisfied_after_start, max_attempts=10
     )
     assert result.attempts <= 10
+
+
+def test_reductions_are_byte_identical_on_a_fixed_seed():
+    """Generated programs reduced while their interpreted return value
+    stays the same: sources, inputs and counters are pinned by digest."""
+    digest = hashlib.sha256()
+    for seed in range(12):
+        case = ProgramGenerator(seed, max_stmts=8).generate()
+        args = tuple(case.inputs[0])
+        want = Interpreter(parse_program(case.source)).run_function(case.name, args)
+
+        def same_return(source, inputs, name=case.name, want=want.return_value):
+            try:
+                program = parse_program(source)
+                run = Interpreter(program, max_steps=20000).run_function(name, tuple(inputs[0]))
+            except Exception:
+                return False
+            return run.return_value == want
+
+        result = reduce_case(case.source, case.name, [args], same_return, max_attempts=150)
+        record = [result.source, result.inputs, result.attempts, result.accepted]
+        digest.update(json.dumps(record).encode("utf-8"))
+    assert digest.hexdigest() == REDUCED_DIGEST

@@ -11,13 +11,20 @@ the CI ``repair-smoke`` job.
 
 import json
 
+import pytest
+
 from repro.eval.dataset import generated_entries
 from repro.eval.mutate import Mutator, _op_alternatives, repair_neighbors
 from repro.eval.repair import (
     REPAIRABLE_VERDICTS,
     RepairConfig,
+    _collect_chunk,
+    _hash_source,
+    _new_target,
+    main,
     repair_campaign,
 )
+from repro.eval.score import CandidateScore
 from repro.lang.parser import parse_program
 from repro.lang.printer import print_program
 
@@ -99,6 +106,51 @@ def test_repair_neighbors_reject_unparseable_and_unknown_names():
     assert list(repair_neighbors("@@@ not C @@@", "f")) == []
     source = print_program(parse_program("int f(int a) { return a; }"))
     assert list(repair_neighbors(source, "missing")) == []
+
+
+def test_repair_neighbors_start_is_a_slice_of_the_edit_list():
+    source = print_program(
+        parse_program("int f(int a, int b) { if (a < b) { return a * 3; } return b - 1; }")
+    )
+    indexed = list(repair_neighbors(source, "f", indexed=True))
+    assert [(kind, text) for _, kind, text in indexed] == list(repair_neighbors(source, "f"))
+    indices = [index for index, _, _ in indexed]
+    assert indices == sorted(set(indices))
+    for start in (0, 1, 7, indices[len(indices) // 2], indices[-1] + 1):
+        tail = list(repair_neighbors(source, "f", start=start, indexed=True))
+        assert tail == [item for item in indexed if item[0] >= start]
+
+
+def test_chunks_are_the_unvisited_neighbors_in_order():
+    """Consecutive chunks take the expansion stream's neighbors in order,
+    skipping none but the already visited (the root candidate itself)."""
+    entries, sets = _small_dataset(seed=9, functions=1, candidates=6)
+    entry, candidate = entries[0], sets[0][0]
+    target = _new_target(entry, candidate, 0, CandidateScore(0, "io_mismatch", 0.5))
+    config = _config(chunk=5, budget=60)
+    visited = {_hash_source(candidate.text)}
+    expected = []
+    for kind, text in repair_neighbors(candidate.text, entry.name):
+        if _hash_source(text) not in visited:
+            visited.add(_hash_source(text))
+            expected.append((kind, text, 0))
+    assert len(expected) >= 10
+    first = _collect_chunk(target, entry, config)
+    assert first == expected[:5]
+    target["attempts_used"] += len(first)
+    assert _collect_chunk(target, entry, config) == expected[5:10]
+
+
+def test_resume_rejects_a_schema_1_campaign(tmp_path):
+    entries, sets = _small_dataset(seed=9, functions=1, candidates=6)
+    old = repair_campaign(entries, sets, config=_config(max_rounds=1))
+    old["schema"] = 1
+    with pytest.raises(ValueError, match="schema 1"):
+        repair_campaign(entries, sets, config=_config(), state=old)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(old))
+    with pytest.raises(SystemExit, match="--resume: the campaign file has schema 1"):
+        main(["--backend", "none", "--resume", "--output", str(path)])
 
 
 # ---------------------------------------------------------------------------
