@@ -40,6 +40,7 @@ buffers would be misread under C compilation.
 from __future__ import annotations
 
 import re
+import struct
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,16 +49,41 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.lang import ctypes as ct
 from repro.lang.printer import type_to_str
 from repro.testing.frontend import CaseContext
-from repro.testing.native import (
-    _BITS_HELPER,
-    BatchExecutionError,
-    _encode_argument,
-    _prototype,
-    _scalar_literal,
-)
+from repro.testing.native import BatchExecutionError, _encode_argument
 
 #: UBSan checks disabled because the dialect defines the behaviour.
 UNDEFINED_DISABLED = ("shift-base", "signed-integer-overflow", "float-cast-overflow")
+
+#: Scalar arguments are spelled as literals in the instrumented harness;
+#: doubles go through their exact bit pattern.
+_BITS_HELPER = """
+static double bits_to_double(unsigned long long u) {
+    union { unsigned long long u; double d; } cvt; cvt.u = u; return cvt.d;
+}
+"""
+
+
+def _scalar_literal(value: Any, t: ct.CType) -> str:
+    if isinstance(t, ct.FloatType):
+        bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
+        return f"bits_to_double(0x{bits:016x}ULL)"
+    wrapped = t.wrap(int(value)) if isinstance(t, ct.IntType) else int(value)
+    return f"(long long)0x{wrapped & 0xFFFFFFFFFFFFFFFF:016x}ULL"
+
+
+def _prototype(
+    symbol: str, param_types: Sequence[ct.CType], return_type: ct.CType
+) -> str:
+    args = ", ".join(
+        "double" if isinstance(t, ct.FloatType) else "long long" for t in param_types
+    ) or "void"
+    if ct.is_void(return_type):
+        ret = "void"
+    elif isinstance(return_type, ct.FloatType):
+        ret = "double"
+    else:
+        ret = "long long"
+    return f"extern {ret} {symbol}({args});"
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,6 @@ class RepairConfig:
     chunk: int = 24
     #: Maximum edit depth from the original candidate.
     max_depth: int = 3
-    fork_server: bool = True
     #: Stop after this many rounds per target (None = run to completion);
     #: the partial campaign file is resumable.
     max_rounds: Optional[int] = None
@@ -326,9 +325,7 @@ def _run_rounds(
             cache,
             backend=config.backend,
             opt_level=config.opt_level,
-            use_batch=True,
             lint=False,
-            fork_server=config.fork_server,
             run_timeout=REPAIR_RUN_TIMEOUT,
         )
         for (target, chunk), scores in zip(chunks, all_scores):
@@ -434,7 +431,6 @@ def repair_campaign(
                 candidate_sets,
                 backend=config.backend,
                 opt_level=config.opt_level,
-                fork_server=config.fork_server,
                 jobs=jobs,
                 cache=cache,
             )
@@ -495,8 +491,8 @@ def repair_campaign(
 # ---------------------------------------------------------------------------
 
 #: Config keys that must match for ``--resume`` to continue a campaign
-#: file (``fork_server``/``jobs`` are execution details with no effect on
-#: the bytes, so they may differ between the original run and the resume).
+#: file (``jobs`` is an execution detail with no effect on the bytes, so
+#: it may differ between the original run and the resume).
 _RESUME_KEYS = (
     "seed",
     "functions",
@@ -559,11 +555,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "campaign is byte-identical at any job count (default 1)",
     )
     parser.add_argument(
-        "--no-fork-server", action="store_true",
-        help="score neighbor batches through the one-subprocess-per-leg "
-        "harness instead of the persistent fork server",
-    )
-    parser.add_argument(
         "--resume", action="store_true",
         help="continue the campaign in --output byte-identically from where "
         "it stopped (the dataset config must match)",
@@ -596,7 +587,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         beam=args.beam,
         chunk=args.chunk,
         max_depth=args.max_depth,
-        fork_server=not args.no_fork_server,
         max_rounds=args.max_rounds,
     )
     extra_config = {

@@ -368,9 +368,7 @@ class ScoringService:
         kwargs = {
             "backend": backend,
             "opt_level": opt_level,
-            "use_batch": True,
             "lint": lint,
-            "fork_server": True,
             "run_timeout": run_timeout,
         }
         return entry, candidates, kwargs
@@ -833,9 +831,7 @@ def score_grid_via_service(
         all_scores,
         backend=backend,
         opt_level=opt_level,
-        use_batch=True,
         lint=lint,
-        fork_server=True,
     )
 
 

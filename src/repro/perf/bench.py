@@ -11,19 +11,20 @@ Times every stage of the corpus pipeline on fixed-seed generated programs —
   as its pre-filter;
 * **lowering**    — AST opt + lowering + IR opt at both -O0 and -O3;
 * **backends**    — x86-64 and AArch64 emission from shared lowered IR;
-* **fuzz end-to-end** — the differential campaign itself, measured both on
-  the sequential per-case path (``--no-batch`` semantics) and on the
-  batched path that ships one native build/run per leg per batch;
+* **fuzz end-to-end** — the differential campaign itself, one native
+  build and one fork server per backend per batch;
 * **eval** — decompilation-candidate scoring throughput
   (:mod:`repro.eval.score`): N mutation-derived candidates per function
   pushed through parse → typecheck → compile → batched native execution,
-  reported as candidates/s
+  reported as candidates/s, cold and against a warm cache;
+* **repair** — the repair campaign's attempts/s
 
 — and writes the numbers to ``BENCH_pipeline.json``.  The committed copy at
 the repo root is the performance trajectory future PRs regress against:
-``--compare BENCH_pipeline.json`` exits non-zero when the measured batched
-end-to-end throughput drops more than ``--tolerance`` (default 30%) below
-the committed number, which is what the CI ``bench-smoke`` job gates on.
+``--compare BENCH_pipeline.json`` exits non-zero when the measured fuzz or
+eval end-to-end throughput drops more than ``--tolerance`` (default 30%)
+below the committed number, which is what the CI ``bench-smoke`` job
+gates on.
 
 Typical invocations::
 
@@ -50,29 +51,6 @@ from repro.testing.generator import GeneratedCase, ProgramGenerator
 from repro.testing.native import have_native_toolchain
 from repro.lang.parser import parse_program
 from repro.lang.typecheck import TypeChecker
-
-#: The pre-batching pipeline measured on the same fixed-seed workload
-#: (PR 3 tree, `fuzz --seed 0 --count 500`, four legs, single core).  Kept
-#: in the report so the trajectory records where the optimisation started.
-PRE_BATCHING_BASELINE = {
-    "cases": 500,
-    "seconds": 69.9,
-    "cases_per_second": 7.2,
-    "note": "PR 3 per-case pipeline: one native build+run per case per leg",
-}
-
-#: The subprocess-batched pipeline as committed before the fork-server
-#: rebuild (PR 6 tree, same workload/host class as above): one harness TU
-#: compiled and one subprocess launched per batch leg, eval batching one
-#: toolchain invocation per *function*.  The fork-server acceptance target
-#: is 2x these numbers.
-PRE_FORKSERVER_BASELINE = {
-    "fuzz_cases_per_second": 35.55,
-    "eval_candidates_per_second": 57.72,
-    "note": "PR 6 subprocess batches: harness TU + subprocess per batch leg, "
-    "one native build per eval function",
-}
-
 
 def usable_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware).
@@ -174,72 +152,22 @@ def bench_backends(cases: List[GeneratedCase]) -> Dict:
 
 
 def bench_fuzz(
-    seed: int,
-    sequential_count: int,
-    batched_count: int,
-    jobs: int,
-    jobs_curve: Optional[List[int]] = None,
+    seed: int, count: int, jobs: int, jobs_curve: Optional[List[int]] = None
 ) -> Dict:
     backends = ("x86",) if have_native_toolchain() else ()
-    sequential_config = FuzzConfig(backends=backends, use_batch=False)
-    batched_config = FuzzConfig(backends=backends, use_batch=True, fork_server=True)
-    subprocess_config = FuzzConfig(backends=backends, use_batch=True, fork_server=False)
-
+    config = FuzzConfig(backends=backends)
     started = time.perf_counter()
-    sequential_results = run_campaign(sequential_config, seed, sequential_count)
-    sequential_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    subprocess_results = run_campaign(subprocess_config, seed, batched_count, jobs=jobs)
-    subprocess_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    batched_results = run_campaign(batched_config, seed, batched_count, jobs=jobs)
-    batched_seconds = time.perf_counter() - started
-
-    sequential = _stage("cases", sequential_count, sequential_seconds)
-    batched = _stage("cases", batched_count, batched_seconds)
+    results = run_campaign(config, seed, count, jobs=jobs)
+    batched = _stage("cases", count, time.perf_counter() - started)
     batched["jobs"] = jobs
-    batched["fork_server"] = True
-    batched_subprocess = _stage("cases", batched_count, subprocess_seconds)
-    batched_subprocess["jobs"] = jobs
-    batched_subprocess["fork_server"] = False
-    clean = all(
-        not r.failed
-        for r in sequential_results + subprocess_results + batched_results
-    )
     out = {
         "legs": ["interp", "ir-O3"]
         + [f"{b}-{o}" for b in backends for o in ("O0", "O3")],
-        "all_cases_clean": clean,
-        "pre_batching_baseline": dict(PRE_BATCHING_BASELINE),
-        "pre_forkserver_baseline": dict(PRE_FORKSERVER_BASELINE),
-        "sequential": sequential,
+        "all_cases_clean": all(not r.failed for r in results),
         "batched": batched,
-        "batched_subprocess": batched_subprocess,
-        "speedup_batched_vs_sequential": round(
-            batched["cases_per_second"] / max(1e-9, sequential["cases_per_second"]), 2
-        ),
-        "speedup_forkserver_vs_subprocess": round(
-            batched["cases_per_second"]
-            / max(1e-9, batched_subprocess["cases_per_second"]),
-            2,
-        ),
-        "speedup_batched_vs_pre_batching": round(
-            batched["cases_per_second"]
-            / PRE_BATCHING_BASELINE["cases_per_second"],
-            2,
-        ),
-        "speedup_batched_vs_pre_forkserver": round(
-            batched["cases_per_second"]
-            / PRE_FORKSERVER_BASELINE["fuzz_cases_per_second"],
-            2,
-        ),
     }
     if jobs_curve:
-        out["jobs_curve"] = bench_jobs_curve(
-            batched_config, seed, batched_count, jobs_curve
-        )
+        out["jobs_curve"] = bench_jobs_curve(config, seed, count, jobs_curve)
     return out
 
 
@@ -296,16 +224,8 @@ def bench_eval(seed: int, functions: int, candidates: int) -> Dict:
     build_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    report = score_dataset(
-        entries, candidate_sets, backend=backend, use_batch=True, fork_server=True
-    )
+    report = score_dataset(entries, candidate_sets, backend=backend)
     scoring_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    score_dataset(
-        entries, candidate_sets, backend=backend, use_batch=True, fork_server=False
-    )
-    subprocess_seconds = time.perf_counter() - started
 
     # Cold-vs-warm series: the same scoring run against a fresh cache
     # directory (paying the stores), then again against the populated one
@@ -314,48 +234,21 @@ def bench_eval(seed: int, functions: int, candidates: int) -> Dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         cold_cache = EvalCache(tmp)
         started = time.perf_counter()
-        score_dataset(
-            entries,
-            candidate_sets,
-            backend=backend,
-            use_batch=True,
-            fork_server=True,
-            cache=cold_cache,
-        )
+        score_dataset(entries, candidate_sets, backend=backend, cache=cold_cache)
         cold_seconds = time.perf_counter() - started
         warm_cache = EvalCache(tmp)
         started = time.perf_counter()
-        score_dataset(
-            entries,
-            candidate_sets,
-            backend=backend,
-            use_batch=True,
-            fork_server=True,
-            cache=warm_cache,
-        )
+        score_dataset(entries, candidate_sets, backend=backend, cache=warm_cache)
         warm_seconds = time.perf_counter() - started
 
     total = report["aggregate"]["candidates"]
     out = _stage("candidates", total, scoring_seconds)
-    subprocess_rate = _rate(total, subprocess_seconds)
     out.update(
         {
             "functions": functions,
             "candidates_per_function": candidates,
             "backend": backend,
             "build_seconds": round(build_seconds, 3),
-            "subprocess_candidates_per_second": subprocess_rate,
-            "speedup_forkserver_vs_subprocess": round(
-                out["candidates_per_second"] / max(1e-9, subprocess_rate), 2
-            ),
-            "pre_forkserver_baseline": PRE_FORKSERVER_BASELINE[
-                "eval_candidates_per_second"
-            ],
-            "speedup_vs_pre_forkserver": round(
-                out["candidates_per_second"]
-                / PRE_FORKSERVER_BASELINE["eval_candidates_per_second"],
-                2,
-            ),
             "ground_truth_agreement": report["aggregate"]["ground_truth_agreement"],
         }
     )
@@ -419,8 +312,7 @@ def run_benchmarks(
     seed: int, quick: bool, jobs: int, jobs_curve: Optional[List[int]] = None
 ) -> Dict:
     stage_count = 40 if quick else 100
-    sequential_count = 25 if quick else 500
-    batched_count = 120 if quick else 500
+    fuzz_count = 120 if quick else 500
     cases = _make_cases(seed, stage_count)
     report = {
         "schema": 1,
@@ -441,7 +333,7 @@ def run_benchmarks(
             "lowering": bench_lowering(cases),
             "backends": bench_backends(cases),
         },
-        "fuzz": bench_fuzz(seed, sequential_count, batched_count, jobs, jobs_curve),
+        "fuzz": bench_fuzz(seed, fuzz_count, jobs, jobs_curve),
         "eval": bench_eval(seed, 8 if quick else 20, 6 if quick else 8),
         "repair": bench_repair(seed, 3 if quick else 6, 6, 30 if quick else 80),
     }
@@ -452,8 +344,6 @@ def compare_reports(
     current: Dict,
     baseline: Dict,
     tolerance: float,
-    min_speedup: float = 2.5,
-    min_eval_speedup: float = 2.0,
     require_jobs_scaling: bool = False,
     min_jobs_speedup: float = 2.0,
 ) -> Optional[str]:
@@ -461,16 +351,8 @@ def compare_reports(
 
     Gates, in order:
 
-    * the absolute batched fuzz and eval throughputs must stay within
+    * the absolute fuzz and eval throughputs must stay within
       ``tolerance`` of the committed baseline;
-    * because the baseline may have been recorded on different hardware,
-      the *host-relative* batched-vs-sequential fuzz speedup measured
-      inside the current run must stay above ``min_speedup`` — this
-      catches code regressions even when a faster runner masks them in
-      absolute cases/s;
-    * the eval scorer must stay at least ``min_eval_speedup`` above the
-      recorded pre-fork-server baseline (the fork-server acceptance
-      floor);
     * with ``require_jobs_scaling`` (the multi-core CI gate), the highest
       point of the recorded ``--jobs`` curve must be at least
       ``min_jobs_speedup`` over its jobs=1 point.
@@ -498,30 +380,6 @@ def compare_reports(
                 f"eval scoring throughput regressed: {current_eval:.1f} "
                 f"candidates/s vs baseline {baseline_eval:.1f} candidates/s "
                 f"(> {tolerance:.0%} below baseline)"
-            )
-    # The host-relative gates only mean something when native legs
-    # actually ran: batching and the fork server change native execution,
-    # so a toolchain-free run measures ~1x regardless of their health.
-    legs = current["fuzz"].get("legs")
-    if legs is not None and not any(
-        leg.startswith(("x86", "arm")) for leg in legs
-    ):
-        return None
-    speedup = float(current["fuzz"].get("speedup_batched_vs_sequential", 0.0))
-    if speedup < min_speedup:
-        return (
-            f"batched path is only {speedup:.1f}x the sequential path on this "
-            f"host (expected >= {min_speedup:.1f}x): the batching layer has "
-            "regressed even if absolute throughput looks fine"
-        )
-    eval_section = current.get("eval") or {}
-    if eval_section.get("backend") in ("x86", "arm"):
-        eval_speedup = float(eval_section.get("speedup_vs_pre_forkserver", 0.0))
-        if eval_speedup < min_eval_speedup:
-            return (
-                f"eval scoring is only {eval_speedup:.1f}x the pre-fork-server "
-                f"baseline (expected >= {min_eval_speedup:.1f}x): the "
-                "fork-server/grouped execution layer has regressed"
             )
     if require_jobs_scaling:
         curve = current["fuzz"].get("jobs_curve") or []
@@ -553,12 +411,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="reduced case counts (CI smoke: ~30s instead of minutes)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the batched run"
+        "--jobs", type=int, default=1, help="worker processes for the fuzz run"
     )
     parser.add_argument(
         "--jobs-curve",
         metavar="N,N,...",
-        help="also time the batched fuzz campaign at each of these worker "
+        help="also time the fuzz campaign at each of these worker "
         "counts and record the scaling curve (e.g. 1,2,4)",
     )
     parser.add_argument(
@@ -575,8 +433,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--compare",
         metavar="BASELINE",
-        help="baseline BENCH_pipeline.json; exit 1 when batched end-to-end "
-        "throughput is more than --tolerance below it",
+        help="baseline BENCH_pipeline.json; exit 1 when fuzz or eval "
+        "end-to-end throughput is more than --tolerance below it",
     )
     parser.add_argument(
         "--tolerance",
@@ -607,14 +465,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for stage, numbers in report["stages"].items():
         rate_key = next(k for k in numbers if k.endswith("_per_second"))
         print(f"  {stage:<12} {numbers[rate_key]:>9.1f} {rate_key.replace('_', ' ')}")
-    print(
-        f"  fuzz e2e     sequential {fuzz['sequential']['cases_per_second']:.1f} cases/s, "
-        f"subprocess batches {fuzz['batched_subprocess']['cases_per_second']:.1f} cases/s, "
-        f"fork-server {fuzz['batched']['cases_per_second']:.1f} cases/s "
-        f"({fuzz['speedup_batched_vs_sequential']:.1f}x vs sequential; "
-        f"{fuzz['speedup_forkserver_vs_subprocess']:.1f}x vs subprocess batches; "
-        f"{fuzz['speedup_batched_vs_pre_forkserver']:.1f}x vs pre-fork-server baseline)"
-    )
+    print(f"  fuzz e2e     {fuzz['batched']['cases_per_second']:>9.1f} cases/s")
     for point in fuzz.get("jobs_curve", []):
         print(
             f"  fuzz jobs={point['jobs']}  {point['cases_per_second']:.1f} cases/s "
@@ -627,9 +478,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"  eval         {eval_stage['candidates_per_second']:.1f} candidates/s "
         f"({eval_stage['functions']}x{eval_stage['candidates_per_function']} on "
         f"{eval_stage['backend']}, agreement "
-        f"{eval_stage['ground_truth_agreement']:.0%}; "
-        f"{eval_stage['speedup_vs_pre_forkserver']:.1f}x vs pre-fork-server "
-        "baseline)"
+        f"{eval_stage['ground_truth_agreement']:.0%})"
     )
     print(
         f"  eval cache   cold {eval_stage['cache_cold']['candidates_per_second']:.1f} "

@@ -19,9 +19,9 @@ and reports the first observable divergence:
   failing program while preserving its divergence;
 * :mod:`repro.testing.frontend` — the per-case front-end context (parse /
   typecheck / lower once, share across every leg and input vector);
-* :mod:`repro.testing.native` — the native build-and-execute harnesses,
-  including :class:`NativeBatch` (N cases -> one binary per leg, one
-  subprocess per run);
+* :mod:`repro.testing.native` — the native build-and-execute harness,
+  :class:`NativeBatch` (N cases -> one binary per leg, one fork server
+  per run);
 * :mod:`repro.testing.fuzz` — the ``python -m repro.testing.fuzz`` CLI
   (``--jobs N`` worker pool, ``--batch-size``, deterministic aggregation).
 """
@@ -37,7 +37,6 @@ __all__: List[str] = [
     "reduce_case",
     "CaseContext",
     "NativeBatch",
-    "NativeFunction",
     "FuzzConfig",
     "run_campaign",
 ]
@@ -64,10 +63,10 @@ def __getattr__(name: str):
         from repro.testing.frontend import CaseContext
 
         return CaseContext
-    if name in ("NativeBatch", "NativeFunction"):
-        from repro.testing import native
+    if name == "NativeBatch":
+        from repro.testing.native import NativeBatch
 
-        return getattr(native, name)
+        return NativeBatch
     if name in ("FuzzConfig", "run_campaign"):
         from repro.testing import fuzz
 

@@ -7,16 +7,13 @@ reducer and prints a ready-to-commit reproducer.
 
 Throughput machinery (all verdict-preserving):
 
-* **Batched native execution** (default): cases are evaluated in batches of
+* **Batched native execution**: cases are evaluated in batches of
   ``--batch-size`` through :meth:`Oracle.check_batch`, which compiles each
-  batch into one translation unit per native leg — O(legs) toolchain
-  invocations per batch instead of O(cases x legs).
-* **Fork-server execution** (default): each batch leg runs as one
-  persistent process that ``fork()``s per (case, input) pair, so traps
-  cost a dead child instead of a process relaunch and clean pairs never
-  re-exec.  ``--no-fork-server`` restores the one-subprocess-per-leg
-  path, kept as the byte-identical parity reference; ``--no-batch``
-  restores the original one-case-at-a-time path.
+  batch into one translation unit per native backend — O(backends)
+  toolchain invocations per batch instead of O(cases x legs).
+* **Fork-server execution**: each batch runs as one persistent process
+  that ``fork()``s per (case, input) pair, so traps cost a dead child
+  instead of a process relaunch and clean pairs never re-exec.
 * **Compile-while-execute pipelining**: native builds are launched
   asynchronously and joined only when their outcomes are needed, and the
   batched loop prepares batch N+1 (generate, lower, launch builds) before
@@ -112,11 +109,9 @@ class FuzzConfig:
     require_native: bool = False
     max_stmts: int = 12
     batch_size: int = 32
-    use_batch: bool = True
     verify_ir: bool = True
     inject_ir_miscompile: bool = False
     sanitize: bool = False
-    fork_server: bool = True
 
 
 @dataclass
@@ -144,7 +139,6 @@ def build_oracle(config: FuzzConfig) -> Oracle:
         verify_ir=config.verify_ir,
         ir_transform=strip_reextension if config.inject_ir_miscompile else None,
         sanitize=config.sanitize,
-        fork_server=config.fork_server,
     )
 
 
@@ -157,33 +151,8 @@ def generate(config: FuzzConfig, base_seed: int, index: int) -> GeneratedCase:
 def evaluate_cases(
     oracle: Oracle, config: FuzzConfig, base_seed: int, indices: Sequence[int]
 ) -> List[CaseResult]:
-    """Evaluate the given case indices (batched unless disabled)."""
+    """Evaluate the given case indices, one batch at a time."""
     results: List[CaseResult] = []
-    if not config.use_batch:
-        for index in indices:
-            case = generate(config, base_seed, index)
-            seed = case_seed(base_seed, index)
-            try:
-                divergence = oracle.check_case(case.source, case.name, case.inputs)
-            except Exception as exc:  # build failures are findings, not crashes
-                results.append(
-                    CaseResult(index, seed, "build-error", str(exc), "build-error")
-                )
-                continue
-            if divergence is None:
-                results.append(CaseResult(index, seed, "ok"))
-            else:
-                results.append(
-                    CaseResult(
-                        index,
-                        seed,
-                        "divergence",
-                        divergence.describe(),
-                        divergence.category,
-                    )
-                )
-        return results
-
     for chunk_results in iter_batched_results(oracle, config, base_seed, indices):
         results.extend(chunk_results)
     return results
@@ -350,18 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cases per native batch build (default 32)",
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="evaluate one case per native build/run (the pre-batching path; "
-        "slower, used as the parity reference)",
-    )
-    parser.add_argument(
-        "--no-fork-server",
-        action="store_true",
-        help="run batches through the one-subprocess-per-leg harness instead "
-        "of the persistent fork server (the byte-identical parity reference)",
-    )
-    parser.add_argument(
         "--require-native",
         action="store_true",
         help="fail instead of silently dropping unavailable native toolchains",
@@ -435,11 +392,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         require_native=args.require_native,
         max_stmts=args.max_stmts,
         batch_size=max(1, args.batch_size),
-        use_batch=not args.no_batch,
         verify_ir=not args.no_verify_ir,
         inject_ir_miscompile=args.inject_ir_miscompile,
         sanitize=args.sanitize,
-        fork_server=not args.no_fork_server,
     )
 
     try:
@@ -494,15 +449,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The batched iterator keeps one batch in flight ahead of the one
         # being drained (its builds compile in the background); stopping
         # early just abandons that lookahead batch.
-        if config.use_batch:
-            result_chunks = iter_batched_results(
-                oracle, config, args.seed, list(range(args.count))
-            )
-        else:
-            result_chunks = (
-                evaluate_cases(oracle, config, args.seed, [index])
-                for index in range(args.count)
-            )
+        result_chunks = iter_batched_results(
+            oracle, config, args.seed, list(range(args.count))
+        )
         last_progress = 0
         for results in result_chunks:
             checked += len(results)

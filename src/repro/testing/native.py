@@ -1,36 +1,28 @@
-"""Native build-and-execute harnesses for compiled Mini-C assembly.
+"""Native build-and-execute harness for compiled Mini-C assembly.
 
 This is the "run the ground truth for real" half of the paper's
-IO-equivalence check.  Two harnesses share the same encoding/decoding
-machinery:
-
-* :class:`NativeFunction` — one case per binary, one subprocess per input
-  vector.  Simple, fully isolated; used by the native execution tests and
-  as the oracle's sequential reference path.
-* :class:`NativeBatch` — N cases compiled into **one** translation unit
-  per (ISA, opt level), linked against a single dispatching harness and
-  executed by a **fork server**: one persistent process whose control
-  loop reads (case, input) requests over a pipe and ``fork()``s per
-  pair.  Each child inherits pristine globals through copy-on-write, so
-  trap isolation and state reset come for free — a trapping pair kills
-  only its child, and the server keeps answering without any re-exec.
-  The control loop is generic C compiled **once per process** into a
-  cached object file; per batch only a tiny symbol-table TU and the
-  concatenated assembly are compiled, and the build runs asynchronously
-  so callers can overlap it with other work (``ensure_built()`` joins
-  it).  The ARM leg runs the same server statically linked under one
-  persistent ``qemu-aarch64`` process.  The previous one-subprocess-per-
-  leg path (trap-attributing resume, globals snapshot/restore) is kept,
-  byte-identical in its verdicts, as the parity reference behind
-  ``fork_server=False``.
+IO-equivalence check.  :class:`NativeBatch` compiles N cases into **one**
+translation unit per (ISA, opt level) and executes them on a **fork
+server**: one persistent process whose control loop reads (case, input)
+requests over a pipe and ``fork()``s per pair.  Each child inherits
+pristine globals through copy-on-write, so trap isolation and state reset
+come for free — a trapping pair kills only its child, and the server keeps
+answering without any re-exec.  The control loop is generic C compiled
+**once per process** into a cached object file; per batch only a small
+table TU (the cases, their globals, and a C call stub for each signature
+too wide for the argument registers) and the concatenated assembly are
+compiled, and the build runs asynchronously so callers can overlap it
+with other work (``ensure_built()`` joins it).  The ARM leg runs the same
+server statically linked under one persistent ``qemu-aarch64`` process.
+A one-case batch is the smallest unit of native execution;
+:class:`GroupedBatchRunner` packs many units into shared batches and
+bisects a group that fails to build down to the case at fault.
 
 Batching shares one process across cases, so per-case symbols are made
 unique: the entry point and every global are renamed ``__caseN_<name>``
 (whole-word textual rename — safe for generator-produced programs, whose
 identifiers never collide with assembly keywords), and local labels get a
-per-case prefix.  Each case's globals are snapshotted at process start and
-restored before every call so every (case, input) pair still observes the
-pristine initialisers, exactly like a fresh per-case process would.
+per-case prefix.
 
 Argument buffers use the interpreter's packed memory layout (structs have
 no padding), so they are encoded/decoded here as raw bytes rather than
@@ -57,7 +49,17 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.lang import ctypes as ct
 from repro.testing.frontend import CaseContext
@@ -226,47 +228,8 @@ def _decode_global(data: bytes, gtype: ct.CType) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Harness generation
+# C generation helpers
 # ---------------------------------------------------------------------------
-
-_DUMP_HELPER = """
-static void dump(const char *tag, const unsigned char *p, long n) {
-    printf("%s ", tag);
-    if (n == 0) { printf("-\\n"); return; }
-    for (long i = 0; i < n; i++) printf("%02x", p[i]);
-    printf("\\n");
-}
-"""
-
-_BITS_HELPER = """
-static double bits_to_double(unsigned long long u) {
-    union { unsigned long long u; double d; } cvt; cvt.u = u; return cvt.d;
-}
-"""
-
-
-def _scalar_literal(value: Any, t: ct.CType) -> str:
-    if isinstance(t, ct.FloatType):
-        bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-        return f"bits_to_double(0x{bits:016x}ULL)"
-    wrapped = t.wrap(int(value)) if isinstance(t, ct.IntType) else int(value)
-    return f"(long long)0x{wrapped & 0xFFFFFFFFFFFFFFFF:016x}ULL"
-
-
-def _prototype(
-    symbol: str, param_types: Sequence[ct.CType], return_type: ct.CType
-) -> str:
-    args = ", ".join(
-        "double" if isinstance(t, ct.FloatType) else "long long" for t in param_types
-    ) or "void"
-    if ct.is_void(return_type):
-        ret = "void"
-    elif isinstance(return_type, ct.FloatType):
-        ret = "double"
-    else:
-        ret = "long long"
-    return f"extern {ret} {symbol}({args});"
-
 
 def _assembly_globals(assembly: str) -> List[Tuple[str, int]]:
     """(name, size) for every global data symbol the assembly defines.
@@ -308,167 +271,6 @@ class NativeResult:
     return_value: Any
     arg_values: List[Any]
     globals: Dict[str, Any]
-
-
-class NativeFunction:
-    """A corpus function assembled to a host executable (one case, one
-    subprocess per input vector).
-
-    ``isa`` selects the backend: ``"x86"`` builds with the host toolchain,
-    ``"arm"`` builds a static binary with the AArch64 cross compiler and
-    executes it under ``qemu-aarch64`` (or directly on aarch64 hosts).
-    ``asm_transform``, when given, rewrites the assembly text before it is
-    assembled — the fuzzer uses this to inject deliberate miscompiles.
-    ``context`` shares an already-computed front half (parse/typecheck/
-    lowered IR) so repeated builds of one case do not repeat it.
-    """
-
-    def __init__(
-        self,
-        source: str,
-        name: str,
-        inputs: Sequence[Tuple[Any, ...]],
-        opt_level: str,
-        workdir: Path,
-        isa: str = "x86",
-        asm_transform: Optional[Callable[[str], str]] = None,
-        run_timeout: float = 10.0,
-        context: Optional[CaseContext] = None,
-        cache=None,
-    ) -> None:
-        self.source = source
-        self.name = name
-        self.inputs = list(inputs)
-        self.opt_level = opt_level
-        self.isa = isa
-        self.run_timeout = run_timeout
-        self._context = context if context is not None else CaseContext(source, name)
-        self._resolve = self._context.resolve
-        self.param_types = self._context.param_types()
-        self.return_type = self._context.return_type()
-        assembly = self._context.assembly(isa, opt_level)
-        if asm_transform is not None:
-            assembly = asm_transform(assembly)
-        self.globals = _assembly_globals(assembly)
-        self._buffers: List[List[Optional[_Buffer]]] = []
-        harness = self._generate_harness()
-        self.binary = workdir / f"{name}_{isa}_{opt_level}"
-        if cache is not None:
-            key = cache.key("binary", isa, "func", _toolchain_id(isa), assembly, harness)
-            if cache.get_file("binary", key, self.binary):
-                if isa == "arm" and platform.machine() != "aarch64":
-                    self._exec_prefix = _arm_emulator() or []
-                else:
-                    self._exec_prefix = []
-                return
-        asm_path = workdir / f"{name}_{isa}_{opt_level}.s"
-        asm_path.write_text(assembly)
-        harness_path = workdir / f"{name}_{isa}_{opt_level}_main.c"
-        harness_path.write_text(harness)
-        build, self._exec_prefix = _build_command(
-            isa, self.binary, [harness_path, asm_path]
-        )
-        subprocess.run(build, check=True, capture_output=True, timeout=120)
-        if cache is not None:
-            cache.put_file("binary", key, self.binary)
-
-    # -- C generation --------------------------------------------------------
-
-    def _generate_harness(self) -> str:
-        lines = [
-            "#include <stdio.h>",
-            "#include <stdlib.h>",
-            "",
-            _prototype(self.name, self.param_types, self.return_type),
-        ]
-        for gname, _ in self.globals:
-            lines.append(f"extern unsigned char {gname}[];")
-        lines.append(_DUMP_HELPER)
-        lines.append(_BITS_HELPER)
-        body: List[str] = []
-        for index, args in enumerate(self.inputs):
-            buffers: List[Optional[_Buffer]] = []
-            call_args: List[str] = []
-            decls: List[str] = []
-            for j, (value, ptype) in enumerate(zip(args, self.param_types)):
-                buf = _encode_argument(value, ptype, self._resolve)
-                buffers.append(buf)
-                if buf is None:
-                    call_args.append(_scalar_literal(value, ptype))
-                else:
-                    cname = f"in{index}_{j}"
-                    data = ", ".join(str(b) for b in buf.data)
-                    decls.append(f"static unsigned char {cname}[] = {{ {data} }};")
-                    call_args.append(f"(long long){cname}")
-            self._buffers.append(buffers)
-            body.append(f"    if (idx == {index}) {{")
-            for decl in decls:
-                body.append(f"        {decl}")
-            call = f"{self.name}({', '.join(call_args)})"
-            if ct.is_void(self.return_type):
-                body.append(f"        {call};")
-            elif isinstance(self.return_type, ct.FloatType):
-                body.append(f"        printf(\"RETF %.17g\\n\", {call});")
-            else:
-                body.append(f"        printf(\"RET %lld\\n\", {call});")
-            for j, buf in enumerate(buffers):
-                if buf is not None:
-                    body.append(
-                        f"        dump(\"ARG{j}\", in{index}_{j}, {len(buf.data)});"
-                    )
-            for gname, gsize in self.globals:
-                body.append(f"        dump(\"GLB:{gname}\", {gname}, {gsize});")
-            body.append("    }")
-        lines.append("int main(int argc, char **argv) {")
-        lines.append("    int idx = argc > 1 ? atoi(argv[1]) : 0;")
-        lines.extend(body)
-        lines.append("    return 0;")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    # -- execution -----------------------------------------------------------
-
-    def run(self, index: int) -> NativeResult:
-        """Execute input set ``index`` natively and decode the output."""
-        # The timeout guards the differential oracle/reducer against
-        # candidate programs that loop forever (the interpreter leg traps on
-        # its step budget; the native binary has no such budget).
-        proc = subprocess.run(
-            self._exec_prefix + [str(self.binary), str(index)],
-            check=True,
-            capture_output=True,
-            text=True,
-            timeout=self.run_timeout,
-        )
-        return_value: Any = None
-        arg_values: List[Any] = list(self.inputs[index])
-        global_values: Dict[str, Any] = {}
-        for line in proc.stdout.splitlines():
-            tag, _, payload = line.partition(" ")
-            if tag == "RET":
-                raw = int(payload)
-                if isinstance(self.return_type, ct.IntType):
-                    raw = self.return_type.wrap(raw)
-                return_value = raw
-            elif tag == "RETF":
-                return_value = float(payload)
-            elif tag.startswith("ARG"):
-                j = int(tag[3:])
-                buf = self._buffers[index][j]
-                data = b"" if payload == "-" else bytes.fromhex(payload)
-                if buf is not None:
-                    arg_values[j] = _decode_buffer(data, buf, self._resolve)
-            elif tag.startswith("GLB:"):
-                gname = tag[4:]
-                data = b"" if payload == "-" else bytes.fromhex(payload)
-                global_values[gname] = _decode_global(
-                    data, self._context.global_type(gname)
-                )
-        return NativeResult(return_value, arg_values, global_values)
-
-    def expected(self, index: int):
-        """The interpreter's observable state on the same input."""
-        return self._context.interpreter().run_function(self.name, self.inputs[index])
 
 
 # ---------------------------------------------------------------------------
@@ -527,27 +329,39 @@ def _rename_case_symbols(assembly: str, index: int, names: Sequence[str]) -> str
 # Fork-server harness
 # ---------------------------------------------------------------------------
 
-#: Shared struct layout between the precompiled control loop and the
-#: generated per-batch symbol table.  Repeated verbatim in both TUs.
+#: Shared declarations between the precompiled control loop and the
+#: generated per-batch table.  Repeated verbatim in both TUs.
 _FORK_TABLE_DEFS = """\
+typedef union { long long i; double d; } mc_val;
 typedef struct { const char *name; unsigned char *addr; long size; } mc_global;
-typedef struct {
+typedef struct mc_case mc_case;
+struct mc_case {
+    void (*call)(const mc_case *c, const mc_val *args, mc_val *ret);
     void (*fn)(void);
+    const char *kinds;       /* per parameter: 'i' integer-class, 'd' double */
     int ret_kind;            /* 0 void, 1 integer, 2 double */
+    int nargs;
     int nglobals;
     const mc_global *globals;
-} mc_case;
+};
+void mc_call_registers(const mc_case *c, const mc_val *args, mc_val *ret);
 """
 
 #: The generic control loop.  Compiled once per (ISA) into a cached object
 #: file; every batch links it against a generated ``mc_cases`` table.  The
-#: parent never runs case code: it parses one request line, ``fork()``s,
-#: and the child calls the case through a universal trampoline.  The two
-#: trampoline shapes are sound because both SysV x86-64 and AAPCS64 assign
-#: integer-class arguments to integer registers in order and floating
-#: arguments to FP registers in order, independently — so a callee
-#: expecting any mix of <=6 integer and <=6 double parameters finds each
-#: of them exactly where the 12-argument prototype puts it.
+#: parent never runs case code: it parses one request line into an
+#: argument array sized by the case's table row, ``fork()``s, and the child
+#: calls the case through the call stub its row names.
+#:
+#: ``mc_call_registers`` is the stub of every signature whose parameters
+#: travel in registers: at most six integer-class and six double
+#: parameters.  Both SysV x86-64 and AAPCS64 assign integer-class and FP
+#: argument registers in order and independently of each other, so the
+#: callee finds each argument exactly where the 12-argument prototype puts
+#: it, and the unused argument registers hold zeros.  Wider signatures get
+#: a stub generated into the batch's table (:func:`_call_stub`): compiling
+#: any function there costs every build several milliseconds, which the
+#: common case should not pay.
 _FORK_HARNESS_C = (
     """\
 #include <errno.h>
@@ -564,11 +378,33 @@ _FORK_HARNESS_C = (
     + _FORK_TABLE_DEFS
     + """\
 extern const mc_case mc_cases[];
+extern const int mc_case_count;
 
 typedef long long (*mc_ifn)(long long, long long, long long, long long, long long,
                             long long, double, double, double, double, double, double);
 typedef double (*mc_dfn)(long long, long long, long long, long long, long long,
                          long long, double, double, double, double, double, double);
+
+void mc_call_registers(const mc_case *c, const mc_val *a, mc_val *r) {
+    long long ia[6] = {0};
+    double da[6] = {0};
+    int ni = 0, nd = 0;
+    for (int j = 0; j < c->nargs; j++) {
+        if (c->kinds[j] == 'd')
+            da[nd++] = a[j].d;
+        else
+            ia[ni++] = a[j].i;
+    }
+    if (c->ret_kind == 2)
+        r->d = ((mc_dfn)c->fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5],
+                               da[0], da[1], da[2], da[3], da[4], da[5]);
+    else if (c->ret_kind == 1)
+        r->i = ((mc_ifn)c->fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5],
+                               da[0], da[1], da[2], da[3], da[4], da[5]);
+    else
+        ((mc_ifn)c->fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5],
+                        da[0], da[1], da[2], da[3], da[4], da[5]);
+}
 
 static volatile sig_atomic_t mc_alarm_fired;
 static void mc_on_alarm(int sig) { (void)sig; mc_alarm_fired = 1; }
@@ -585,6 +421,13 @@ static int mc_hex_nibble(char c) {
     return -1;
 }
 
+static void mc_free_args(mc_val *args, unsigned char **argbuf, long *arglen, int n) {
+    for (int j = 0; j < n; j++) free(argbuf[j]);
+    free(args);
+    free(argbuf);
+    free(arglen);
+}
+
 static char mc_line[1 << 20];
 
 int main(int argc, char **argv) {
@@ -598,44 +441,44 @@ int main(int argc, char **argv) {
         char *tok = strtok(mc_line, " \\n");
         if (!tok || strcmp(tok, "R") != 0) continue;
         tok = strtok(NULL, " \\n");
-        int case_index = tok ? atoi(tok) : 0;
+        int case_index = tok ? atoi(tok) : -1;
         tok = strtok(NULL, " \\n");
-        int nargs = tok ? atoi(tok) : 0;
-        const mc_case *c = &mc_cases[case_index];
-        long long ia[6] = {0};
-        double da[6] = {0};
-        int argkind[12] = {0};
-        unsigned char *argbuf[12] = {0};
-        long arglen[12] = {0};
-        int ni = 0, nd = 0, bad = (nargs < 0 || nargs > 12);
+        int nargs = tok ? atoi(tok) : -1;
+        int bad = case_index < 0 || case_index >= mc_case_count;
+        const mc_case *c = bad ? 0 : &mc_cases[case_index];
+        if (!bad && (nargs < 0 || nargs > c->nargs)) bad = 1;
+        /* Missing trailing arguments stay zero, as calloc leaves them. */
+        int slots = bad ? 1 : c->nargs + 1;
+        mc_val *args = calloc(slots, sizeof *args);
+        unsigned char **argbuf = calloc(slots, sizeof *argbuf);
+        long *arglen = calloc(slots, sizeof *arglen);
         for (int j = 0; !bad && j < nargs; j++) {
             tok = strtok(NULL, " \\n");
             if (!tok) { bad = 1; break; }
-            if (tok[0] == 'i' && ni < 6) {
-                ia[ni++] = (long long)strtoull(tok + 1, 0, 16);
-            } else if (tok[0] == 'd' && nd < 6) {
+            if (tok[0] == 'i') {
+                args[j].i = (long long)strtoull(tok + 1, 0, 16);
+            } else if (tok[0] == 'd') {
                 union { unsigned long long u; double d; } cvt;
                 cvt.u = strtoull(tok + 1, 0, 16);
-                da[nd++] = cvt.d;
-            } else if (tok[0] == 'b' && ni < 6) {
+                args[j].d = cvt.d;
+            } else if (tok[0] == 'b') {
                 long n = (long)strlen(tok + 1) / 2;
                 unsigned char *p = malloc(n ? n : 1);
+                argbuf[j] = p;
+                arglen[j] = n;
+                args[j].i = (long long)p;
                 for (long k = 0; k < n; k++) {
                     int hi = mc_hex_nibble(tok[1 + 2 * k]);
                     int lo = mc_hex_nibble(tok[2 + 2 * k]);
                     if (hi < 0 || lo < 0) { bad = 1; break; }
                     p[k] = (unsigned char)((hi << 4) | lo);
                 }
-                argkind[j] = 1;
-                argbuf[j] = p;
-                arglen[j] = n;
-                ia[ni++] = (long long)p;
             } else {
                 bad = 1;
             }
         }
         if (bad) {
-            for (int j = 0; j < nargs && j < 12; j++) free(argbuf[j]);
+            mc_free_args(args, argbuf, arglen, slots);
             printf("\\nDONE bad-request\\n");
             fflush(stdout);
             continue;
@@ -644,22 +487,22 @@ int main(int argc, char **argv) {
            fork never duplicates parent output. */
         fflush(stdout);
         pid_t pid = fork();
-        if (pid < 0) { printf("\\nDONE fork-failed\\n"); fflush(stdout); continue; }
+        if (pid < 0) {
+            mc_free_args(args, argbuf, arglen, slots);
+            printf("\\nDONE fork-failed\\n");
+            fflush(stdout);
+            continue;
+        }
         if (pid == 0) {
-            if (c->ret_kind == 2) {
-                double r = ((mc_dfn)c->fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5],
-                                           da[0], da[1], da[2], da[3], da[4], da[5]);
-                printf("RETF %.17g\\n", r);
-            } else if (c->ret_kind == 1) {
-                long long r = ((mc_ifn)c->fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5],
-                                              da[0], da[1], da[2], da[3], da[4], da[5]);
-                printf("RET %lld\\n", r);
-            } else {
-                ((mc_ifn)c->fn)(ia[0], ia[1], ia[2], ia[3], ia[4], ia[5],
-                                da[0], da[1], da[2], da[3], da[4], da[5]);
-            }
+            mc_val r;
+            r.i = 0;
+            c->call(c, args, &r);
+            if (c->ret_kind == 2)
+                printf("RETF %.17g\\n", r.d);
+            else if (c->ret_kind == 1)
+                printf("RET %lld\\n", r.i);
             for (int j = 0; j < nargs; j++)
-                if (argkind[j]) { printf("ARG%d ", j); mc_dump_hex(argbuf[j], arglen[j]); }
+                if (argbuf[j]) { printf("ARG%d ", j); mc_dump_hex(argbuf[j], arglen[j]); }
             for (int g = 0; g < c->nglobals; g++) {
                 printf("GLB:%s ", c->globals[g].name);
                 mc_dump_hex(c->globals[g].addr, c->globals[g].size);
@@ -685,8 +528,7 @@ int main(int argc, char **argv) {
         }
         memset(&itv, 0, sizeof itv);
         setitimer(ITIMER_REAL, &itv, 0);
-        for (int j = 0; j < nargs; j++)
-            if (argkind[j]) free(argbuf[j]);
+        mc_free_args(args, argbuf, arglen, slots);
         /* The leading newline terminates any partial line a killed child
            left behind, so DONE always starts a fresh line. */
         if (timed_out)
@@ -741,21 +583,45 @@ def _forkserver_ret_kind(return_type: ct.CType) -> int:
     return 1
 
 
-def _forkserver_supported(param_types: Sequence[ct.CType]) -> bool:
-    """True when the universal trampoline can call this signature.
+#: Integer-class and double parameters ``mc_call_registers`` passes.
+_REGISTER_ARGS = 6
 
-    The trampoline passes up to 6 integer-class and 6 double arguments —
-    register-only on both ABIs, matching the backends, and comfortably
-    above the generator's 5-parameter ceiling.  Anything wider falls back
-    to the per-pair subprocess harness.
+
+def _kinds(param_types: Sequence[ct.CType]) -> str:
+    """Per parameter: ``d`` for a double, ``i`` for integer-class."""
+    return "".join("d" if isinstance(t, ct.FloatType) else "i" for t in param_types)
+
+
+def _call_stub(name: str, kinds: str, ret_kind: int) -> str:
+    """The C call stub for cases whose signature is too wide for
+    ``mc_call_registers``.
+
+    The stub casts the case's entry point to its prototype, so the
+    compiler applies the ABI — stack-passed arguments included — on both
+    ISAs.  Cases of one signature share a stub.  Trailing zero arguments
+    pad a class that has fewer than six parameters up to six, so unused
+    argument registers hold zeros here too.
     """
-    ints = sum(1 for t in param_types if not isinstance(t, ct.FloatType))
-    floats = len(param_types) - ints
-    return ints <= 6 and floats <= 6
+    ints = kinds.count("i")
+    padded = (
+        kinds
+        + "i" * max(0, _REGISTER_ARGS - ints)
+        + "d" * max(0, _REGISTER_ARGS - (len(kinds) - ints))
+    )
+    params = ", ".join("double" if kind == "d" else "long long" for kind in padded)
+    args = [f"a[{j}].{kind}" for j, kind in enumerate(kinds)]
+    args += ["0"] * (len(padded) - len(kinds))
+    ret = ("void", "long long", "double")[ret_kind]
+    call = f"(({ret} (*)({params}))c->fn)({', '.join(args)})"
+    body = (f"(void)r; {call};", f"r->i = {call};", f"r->d = {call};")[ret_kind]
+    return (
+        f"static void {name}(const mc_case *c, const mc_val *a, mc_val *r) "
+        f"{{ {body} }}"
+    )
 
 
 def _request_token(value: Any, ptype: ct.CType, buf: Optional[_Buffer]) -> str:
-    """One request-line token, mirroring ``_scalar_literal``'s encoding."""
+    """One request-line token: raw bits of a scalar, hex of a buffer."""
     if buf is not None:
         return "b" + bytes(buf.data).hex()
     if isinstance(ptype, ct.FloatType):
@@ -874,24 +740,19 @@ class _ForkServer:
 
 
 class NativeBatch:
-    """Many cases, one binary per (ISA, opt level), one server per leg.
+    """Many cases, one binary per (ISA, opt level), one fork server per leg.
 
-    In the default **fork-server** mode the binary is the generic control
-    loop linked against a generated symbol table: the parent process reads
-    (case, input) requests over stdin, forks, and each child calls its
-    case through the universal trampoline and dumps the observable state.
-    Children inherit pristine globals by copy-on-write, so no snapshot or
-    restore is needed, and a trap costs one dead child instead of a
-    process relaunch.  Builds run asynchronously — ``ensure_built()``
-    joins the compile, and ``outcome()`` calls it implicitly.
-
-    With ``fork_server=False`` the previous dispatching harness is used:
-    it executes every pair in order in one subprocess, restoring globals
-    from a startup snapshot and bracketing each pair with ``PAIR n`` /
-    ``DONE n`` markers; a trapping pair kills the process *after* its
-    ``PAIR`` marker has been flushed, so the parent attributes the signal
-    and relaunches from the next pair.  Both modes produce byte-identical
-    outcomes; the subprocess mode is kept as the parity reference.
+    The binary is the generic control loop linked against a generated
+    table: the cases, their globals, and a call stub for each signature
+    too wide for the argument registers.  The server process reads (case,
+    input) requests over stdin, forks, and each child calls its case's
+    stub and dumps the observable state.  Children inherit pristine
+    globals by copy-on-write, so no snapshot or restore is needed, and a
+    trap costs one dead child instead of a process relaunch.  Builds run
+    asynchronously — ``ensure_built()`` joins the compile, and
+    ``outcome()`` calls it implicitly.  A build failure is the whole
+    batch's: :class:`GroupedBatchRunner` bisects it down to the case at
+    fault.
     """
 
     def __init__(
@@ -903,7 +764,6 @@ class NativeBatch:
         asm_transform: Optional[Callable[[str], str]] = None,
         run_timeout: float = 10.0,
         tag: str = "batch",
-        fork_server: Optional[bool] = None,
         cache=None,
     ) -> None:
         self.opt_level = opt_level
@@ -948,28 +808,15 @@ class NativeBatch:
             for input_index in range(len(case.inputs)):
                 self._pairs.append((index, input_index))
 
-        if fork_server is None:
-            fork_server = True
-        self.fork_server = fork_server and all(
-            _forkserver_supported(entry.context.param_types()) for entry in self.entries
-        )
-
         asm_text = "\n".join(asm_parts)
         self.binary = workdir / f"{tag}_{isa}_{opt_level}"
-        # The generated C is produced either way: _generate_table/_generate
-        # _harness also encode the request lines and argument buffers the
-        # execution path needs, and the text is part of the cache key.
-        generated = (
-            self._generate_table() if self.fork_server else self._generate_harness()
-        )
+        # The table is produced even on a cache hit: _generate_table also
+        # encodes the request lines and argument buffers execution needs,
+        # and its text is part of the cache key.
+        table = self._generate_table()
         if cache is not None:
             self._cache_key = cache.key(
-                "binary",
-                isa,
-                "fork" if self.fork_server else "harness",
-                _toolchain_id(isa),
-                asm_text,
-                generated,
+                "binary", isa, "fork", _toolchain_id(isa), asm_text, table
             )
             if cache.get_file("binary", self._cache_key, self.binary):
                 self._cache_key = None  # satisfied: nothing to store later
@@ -980,14 +827,9 @@ class NativeBatch:
                 return
         asm_path = workdir / f"{tag}_{isa}_{opt_level}.s"
         asm_path.write_text(asm_text)
-        if self.fork_server:
-            table_path = workdir / f"{tag}_{isa}_{opt_level}_table.c"
-            table_path.write_text(generated)
-            sources = [_forkserver_harness_object(isa), table_path, asm_path]
-        else:
-            harness_path = workdir / f"{tag}_{isa}_{opt_level}_main.c"
-            harness_path.write_text(generated)
-            sources = [harness_path, asm_path]
+        table_path = workdir / f"{tag}_{isa}_{opt_level}_table.c"
+        table_path.write_text(table)
+        sources = [_forkserver_harness_object(isa), table_path, asm_path]
         build, self._exec_prefix = _build_command(isa, self.binary, sources)
         self._build_cmd = build
         self._build_proc = subprocess.Popen(
@@ -1067,32 +909,44 @@ class NativeBatch:
     # -- C generation --------------------------------------------------------
 
     def _generate_table(self) -> str:
-        """The per-batch symbol table TU linked against the control loop.
+        """The per-batch table TU linked against the control loop.
 
         Also encodes every (case, input) pair into its request line and
-        records the argument buffers, exactly as ``_generate_harness``
-        does for the subprocess mode.
+        records the argument buffers the results are decoded against.
         """
         lines = [_FORK_TABLE_DEFS]
+        stubs: Dict[Tuple[str, int], str] = {}
+        rows: List[str] = []
         for index, entry in enumerate(self.entries):
+            context = entry.context
+            kinds = _kinds(context.param_types())
+            ret_kind = _forkserver_ret_kind(context.return_type())
+            ints = kinds.count("i")
+            if ints <= _REGISTER_ARGS and len(kinds) - ints <= _REGISTER_ARGS:
+                stub = "mc_call_registers"
+            else:
+                if (kinds, ret_kind) not in stubs:
+                    stubs[(kinds, ret_kind)] = f"mc_call_{len(stubs)}"
+                    lines.append(_call_stub(stubs[(kinds, ret_kind)], kinds, ret_kind))
+                stub = stubs[(kinds, ret_kind)]
             lines.append(f"extern void {entry.symbol}(void);")
             for gname, _ in entry.globals:
                 lines.append(f"extern unsigned char {_mangle(index, gname)}[];")
             if entry.globals:
-                rows = ", ".join(
+                cells = ", ".join(
                     f'{{ "{gname}", {_mangle(index, gname)}, {gsize} }}'
                     for gname, gsize in entry.globals
                 )
                 lines.append(
-                    f"static const mc_global mc_globals_{index}[] = {{ {rows} }};"
+                    f"static const mc_global mc_globals_{index}[] = {{ {cells} }};"
                 )
-        lines.append("const mc_case mc_cases[] = {")
-        for index, entry in enumerate(self.entries):
-            ret_kind = _forkserver_ret_kind(entry.context.return_type())
             globals_ref = f"mc_globals_{index}" if entry.globals else "0"
-            lines.append(
-                f"    {{ {entry.symbol}, {ret_kind}, {len(entry.globals)}, {globals_ref} }},"
+            rows.append(
+                f'    {{ {stub}, {entry.symbol}, "{kinds}", {ret_kind}, '
+                f"{len(kinds)}, {len(entry.globals)}, {globals_ref} }},"
             )
+        lines.append("const mc_case mc_cases[] = {")
+        lines.extend(rows)
         lines.append("};")
         lines.append(f"const int mc_case_count = {len(self.entries)};")
 
@@ -1115,132 +969,13 @@ class NativeBatch:
                 )
         return "\n".join(lines) + "\n"
 
-    def _generate_harness(self) -> str:
-        lines = [
-            "#include <stdio.h>",
-            "#include <stdlib.h>",
-            "#include <string.h>",
-            "",
-        ]
-        for index, entry in enumerate(self.entries):
-            context = entry.context
-            lines.append(
-                _prototype(entry.symbol, context.param_types(), context.return_type())
-            )
-            for gname, gsize in entry.globals:
-                lines.append(f"extern unsigned char {_mangle(index, gname)}[];")
-                lines.append(f"static unsigned char snap{index}_{gname}[{gsize}];")
-        lines.append(_DUMP_HELPER)
-        lines.append(_BITS_HELPER)
-        lines.append("int main(int argc, char **argv) {")
-        lines.append("    long start = argc > 1 ? atol(argv[1]) : 0;")
-        lines.append("    long pair = -1;")
-        # Snapshot every case's pristine globals before anything runs.
-        for index, entry in enumerate(self.entries):
-            for gname, gsize in entry.globals:
-                lines.append(
-                    f"    memcpy(snap{index}_{gname}, {_mangle(index, gname)}, {gsize});"
-                )
-
-        for index, entry in enumerate(self.entries):
-            context = entry.context
-            param_types = context.param_types()
-            return_type = context.return_type()
-            entry.buffers = []
-            for input_index, args in enumerate(entry.case.inputs):
-                buffers: List[Optional[_Buffer]] = []
-                call_args: List[str] = []
-                decls: List[str] = []
-                for j, (value, ptype) in enumerate(zip(args, param_types)):
-                    buf = _encode_argument(value, ptype, context.resolve)
-                    buffers.append(buf)
-                    if buf is None:
-                        call_args.append(_scalar_literal(value, ptype))
-                    else:
-                        cname = f"in{index}_{input_index}_{j}"
-                        data = ", ".join(str(b) for b in buf.data)
-                        decls.append(
-                            f"        static unsigned char {cname}[] = {{ {data} }};"
-                        )
-                        call_args.append(f"(long long){cname}")
-                entry.buffers.append(buffers)
-                lines.append("    pair++;")
-                lines.append("    if (pair >= start) {")
-                lines.extend(decls)
-                # The PAIR marker is flushed before the call so a trapping
-                # pair is attributable from the partial output.
-                lines.append('        printf("PAIR %ld\\n", pair); fflush(stdout);')
-                for gname, gsize in entry.globals:
-                    lines.append(
-                        f"        memcpy({_mangle(index, gname)}, snap{index}_{gname}, {gsize});"
-                    )
-                call = f"{entry.symbol}({', '.join(call_args)})"
-                if ct.is_void(return_type):
-                    lines.append(f"        {call};")
-                elif isinstance(return_type, ct.FloatType):
-                    lines.append(f'        printf("RETF %.17g\\n", {call});')
-                else:
-                    lines.append(f'        printf("RET %lld\\n", {call});')
-                for j, buf in enumerate(buffers):
-                    if buf is not None:
-                        lines.append(
-                            f'        dump("ARG{j}", in{index}_{input_index}_{j}, {len(buf.data)});'
-                        )
-                for gname, gsize in entry.globals:
-                    lines.append(
-                        f'        dump("GLB:{gname}", {_mangle(index, gname)}, {gsize});'
-                    )
-                lines.append('        printf("DONE %ld\\n", pair); fflush(stdout);')
-                lines.append("    }")
-        lines.append("    return 0;")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
     # -- execution -----------------------------------------------------------
 
-    #: Wall-clock allowance per (case, input) pair on top of ``run_timeout``.
-    #: A healthy pair runs in microseconds; this exists so one invocation
-    #: covering hundreds of pairs (or slow qemu-emulated legs) is not held
-    #: to the single-pair budget the per-case path uses.
+    #: Wall-clock allowance per (case, input) pair on top of ``run_timeout``
+    #: in the build deadline (:func:`batch_build_timeout`).  A healthy pair
+    #: runs in microseconds; this exists so a batch of hundreds of pairs
+    #: (or slow qemu-emulated legs) is not held to a single pair's budget.
     PER_PAIR_ALLOWANCE = 0.1
-
-    def _run_from(self, start: int) -> Tuple[Optional[int], str, Optional[int]]:
-        """One harness invocation: (in-flight pair, stdout, returncode).
-
-        ``returncode`` is None when the invocation timed out.  The timeout
-        scales with the number of pairs the invocation still has to run:
-        ``run_timeout`` bounds any single runaway pair (matching the
-        sequential path's per-vector budget) and the per-pair allowance
-        funds the legitimate aggregate runtime of the rest of the batch.
-        """
-        remaining = len(self._pairs) - start
-        try:
-            proc = subprocess.run(
-                self._exec_prefix + [str(self.binary), str(start)],
-                capture_output=True,
-                text=True,
-                timeout=self.run_timeout + self.PER_PAIR_ALLOWANCE * remaining,
-            )
-            stdout, returncode = proc.stdout, proc.returncode
-        except subprocess.TimeoutExpired as exc:
-            stdout = exc.stdout or ""
-            if isinstance(stdout, bytes):
-                stdout = stdout.decode("utf-8", "replace")
-            returncode = None
-        inflight: Optional[int] = None
-        record: List[str] = []
-        for line in stdout.splitlines():
-            tag, _, payload = line.partition(" ")
-            if tag == "PAIR":
-                inflight = int(payload)
-                record = []
-            elif tag == "DONE":
-                flat = int(payload)
-                self._decode_pair(flat, record)
-                inflight = None
-            else:
-                record.append(line)
-        return inflight, stdout, returncode
 
     #: Restarts tolerated per pair before the batch is declared broken.
     MAX_PAIR_RETRIES = 2
@@ -1257,10 +992,7 @@ class NativeBatch:
         except Exception as exc:
             self._failure = exc
             raise
-        if self.fork_server:
-            self._execute_forkserver()
-        else:
-            self._execute_subprocess()
+        self._execute_forkserver()
 
     def _spawn_server(self, command: Sequence[str]) -> _ForkServer:
         """Start a fork server registered for close(); raises once closed."""
@@ -1363,31 +1095,6 @@ class NativeBatch:
                 return line[5:], record
             record.append(line)
 
-    def _execute_subprocess(self) -> None:
-        self._outcomes = {}
-        start = 0
-        total = len(self._pairs)
-        while start < total:
-            inflight, _, returncode = self._run_from(start)
-            if returncode == 0 and inflight is None:
-                break
-            if inflight is None:
-                # Died outside any case: nothing to attribute the failure to.
-                self._outcomes = None
-                self._failure = BatchExecutionError(
-                    f"batch binary failed with status {returncode!r} "
-                    f"outside any case (started at pair {start})"
-                )
-                raise self._failure
-            if returncode is None:
-                self._outcomes[self._pairs[inflight]] = ("limit", "execution timeout")
-            else:
-                self._outcomes[self._pairs[inflight]] = (
-                    "trap",
-                    f"exit status {returncode}",
-                )
-            start = inflight + 1
-
     def _decode_pair(self, flat: int, record: List[str]) -> None:
         case_index, input_index = self._pairs[flat]
         entry = self.entries[case_index]
@@ -1441,10 +1148,21 @@ def batch_build_timeout(run_timeout: float, pairs: int) -> float:
     return max(300.0, run_timeout + NativeBatch.PER_PAIR_ALLOWANCE * pairs)
 
 
+#: What a failed build or drain raises out of a :class:`NativeBatch`.
+BATCH_FAILURES = (
+    subprocess.CalledProcessError,
+    subprocess.TimeoutExpired,
+    BatchExecutionError,
+    OSError,
+)
+
 #: Cap on cases per cross-unit native build in :class:`GroupedBatchRunner`.
-#: Units are never split across groups, so a group build/run failure can
-#: fall back to exactly the per-unit execution path.
 DEFAULT_GROUP_CASES = 32
+
+#: One case's result from :meth:`GroupedBatchRunner.run`: the raw
+#: ``NativeBatch.outcome`` tuple per input, or — for a case that failed to
+#: build or run even in a batch of its own — the exception it failed with.
+CaseOutcomes = Union[List[Tuple[str, Any]], Exception]
 
 
 class GroupedBatchRunner:
@@ -1458,12 +1176,11 @@ class GroupedBatchRunner:
     group's build is launched before the current group is drained
     (constructing a :class:`NativeBatch` starts its build asynchronously).
 
-    :meth:`run` yields ``(unit_index, outcomes)`` in unit order, where
-    ``outcomes[case][input]`` is the raw ``NativeBatch.outcome`` tuple —
-    or ``None`` for every unit of a group whose build or drain failed, in
-    which case the caller re-executes those units on its own fallback path
-    (keeping failure attribution identical to the ungrouped executor).
-    Units with no cases are skipped entirely.
+    :meth:`run` yields ``(unit_index, outcomes)`` in unit order, with one
+    :data:`CaseOutcomes` per case of the unit.  A group that fails to build
+    or drain is halved, and each half rebuilt, until the failing case
+    stands alone: that case alone gets its exception, and every other case
+    keeps its outcomes.  Units with no cases are skipped entirely.
     """
 
     def __init__(
@@ -1471,7 +1188,6 @@ class GroupedBatchRunner:
         opt_level: str,
         workdir: Path,
         isa: str = "x86",
-        fork_server: bool = True,
         group_cases: int = DEFAULT_GROUP_CASES,
         tag_prefix: str = "evalg",
         run_timeout: float = 10.0,
@@ -1480,13 +1196,14 @@ class GroupedBatchRunner:
         self.opt_level = opt_level
         self.workdir = workdir
         self.isa = isa
-        self.fork_server = fork_server
         self.group_cases = group_cases
         self.tag_prefix = tag_prefix
         self.run_timeout = run_timeout
         self.cache = cache
-        self._current: Optional[NativeBatch] = None
-        self._next: Optional[NativeBatch] = None
+        # The group being drained and the one building behind it; either
+        # may hold the exception its construction raised instead.
+        self._current: Union[NativeBatch, Exception, None] = None
+        self._next: Union[NativeBatch, Exception, None] = None
 
     def _pack(self, units: Sequence[Sequence[BatchCase]]) -> List[List[int]]:
         """Whole units, packed greedily up to the group cap (a unit larger
@@ -1507,10 +1224,8 @@ class GroupedBatchRunner:
         return groups
 
     def _make_batch(
-        self, units: Sequence[Sequence[BatchCase]], groups: List[List[int]],
-        group_index: int,
-    ) -> Optional[NativeBatch]:
-        cases = [case for index in groups[group_index] for case in units[index]]
+        self, cases: Sequence[BatchCase], tag: str
+    ) -> Union[NativeBatch, Exception]:
         try:
             return NativeBatch(
                 cases,
@@ -1518,12 +1233,43 @@ class GroupedBatchRunner:
                 self.workdir,
                 isa=self.isa,
                 run_timeout=self.run_timeout,
-                tag=f"{self.tag_prefix}{group_index}",
-                fork_server=self.fork_server,
+                tag=tag,
                 cache=self.cache,
             )
-        except (subprocess.CalledProcessError, subprocess.TimeoutExpired, OSError):
-            return None
+        except BATCH_FAILURES as exc:
+            return exc
+
+    def _drain(
+        self,
+        batch: Union[NativeBatch, Exception],
+        cases: Sequence[BatchCase],
+        tag: str,
+    ) -> List[CaseOutcomes]:
+        """Every case's outcomes from ``batch``, bisecting it on failure."""
+        if isinstance(batch, Exception):
+            failure = batch
+        else:
+            try:
+                return [
+                    [
+                        batch.outcome(case_index, input_index)
+                        for input_index in range(len(case.inputs))
+                    ]
+                    for case_index, case in enumerate(cases)
+                ]
+            except BATCH_FAILURES as exc:
+                failure = exc
+            finally:
+                batch.close()
+        if len(cases) == 1:
+            return [failure]
+        half = len(cases) // 2
+        outcomes: List[CaseOutcomes] = []
+        for suffix, part in (("a", cases[:half]), ("b", cases[half:])):
+            outcomes.extend(
+                self._drain(self._make_batch(part, tag + suffix), part, tag + suffix)
+            )
+        return outcomes
 
     def close(self) -> None:
         """Kill/reap the current group's server and the lookahead build.
@@ -1533,7 +1279,7 @@ class GroupedBatchRunner:
         manager for callers that keep one alive across requests.
         """
         for batch in (self._current, self._next):
-            if batch is not None:
+            if isinstance(batch, NativeBatch):
                 batch.close()
         self._current = self._next = None
 
@@ -1545,71 +1291,52 @@ class GroupedBatchRunner:
 
     def run(
         self, units: Sequence[Sequence[BatchCase]]
-    ) -> Iterator[Tuple[int, Optional[List[List[Tuple[str, Any]]]]]]:
+    ) -> Iterator[Tuple[int, List[CaseOutcomes]]]:
         groups = self._pack(units)
+
+        def group_cases(group_index: int) -> List[BatchCase]:
+            return [case for index in groups[group_index] for case in units[index]]
+
+        def tag(group_index: int) -> str:
+            return f"{self.tag_prefix}{group_index}"
+
         # One group of lookahead: group N+1 compiles while N executes.
         # Both live batches are tracked on the runner so that close() — or
         # this generator's own finally, which runs on GeneratorExit when
         # the consumer breaks out or an interrupt unwinds it — kills their
         # fork servers and reaps their builds instead of leaking them.
-        self._next = self._make_batch(units, groups, 0) if groups else None
+        self._next = self._make_batch(group_cases(0), tag(0)) if groups else None
         try:
             for group_index, unit_indices in enumerate(groups):
                 self._current, self._next = self._next, (
-                    self._make_batch(units, groups, group_index + 1)
+                    self._make_batch(group_cases(group_index + 1), tag(group_index + 1))
                     if group_index + 1 < len(groups)
                     else None
                 )
-                batch = self._current
-                results: Dict[int, List[List[Tuple[str, Any]]]] = {}
-                failed = batch is None
-                if batch is not None:
-                    try:
-                        cursor = 0
-                        for unit_index in unit_indices:
-                            per_case: List[List[Tuple[str, Any]]] = []
-                            for case in units[unit_index]:
-                                per_case.append(
-                                    [
-                                        batch.outcome(cursor, input_index)
-                                        for input_index in range(len(case.inputs))
-                                    ]
-                                )
-                                cursor += 1
-                            results[unit_index] = per_case
-                    except (
-                        subprocess.CalledProcessError,
-                        subprocess.TimeoutExpired,
-                        BatchExecutionError,
-                        OSError,
-                    ):
-                        failed = True
+                assert self._current is not None
+                outcomes = self._drain(
+                    self._current, group_cases(group_index), tag(group_index)
+                )
+                cursor = 0
                 for unit_index in unit_indices:
-                    yield unit_index, (None if failed else results[unit_index])
-                if batch is not None:
-                    batch.close()
+                    size = len(units[unit_index])
+                    yield unit_index, outcomes[cursor : cursor + size]
+                    cursor += size
                 self._current = None
         finally:
             self.close()
 
 
-def values_equal(left: Any, right: Any) -> bool:
-    """Structural equality with float tolerance (re-exported convenience)."""
-    from repro.testing.oracle import values_equal as impl
-
-    return impl(left, right)
-
-
 __all__ = [
+    "BATCH_FAILURES",
     "BatchCase",
     "BatchExecutionError",
+    "CaseOutcomes",
     "DEFAULT_GROUP_CASES",
     "GroupedBatchRunner",
     "NativeBatch",
-    "NativeFunction",
     "NativeResult",
     "batch_build_timeout",
     "have_arm_toolchain",
     "have_native_toolchain",
-    "values_equal",
 ]

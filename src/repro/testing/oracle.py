@@ -20,19 +20,16 @@ observation: every leg must trap for the comparison to pass.
 
 Each case's front half (parse → typecheck → lower) runs **once** and is
 shared by every leg and every input vector (:class:`CaseContext`).
-:meth:`Oracle.check_batch` goes further and executes the native legs of a
-whole batch of cases through :class:`repro.testing.native.NativeBatch` —
-one toolchain invocation and one subprocess per leg instead of per case —
-which is where the fuzz pipeline's throughput comes from.  Verdicts are
-identical between :meth:`check_case` and :meth:`check_batch` by
-construction: both feed the same per-(case, input) observations through
-the same comparison.
+:meth:`Oracle.check_batch` executes the native legs of a whole batch of
+cases through :class:`repro.testing.native.NativeBatch` — one toolchain
+invocation and one fork server per backend instead of per case — which
+is where the fuzz pipeline's throughput comes from.
+:meth:`Oracle.check_case` is ``check_batch`` on a single case.
 """
 
 from __future__ import annotations
 
 import math
-import subprocess
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,7 +155,9 @@ class PreparedBatch:
     active: List[int]
     batches: Dict[str, Tuple["native.NativeBatch", Dict[Tuple[int, str], int]]]
     reference: Dict[int, List[List["LegOutcome"]]]
-    fallback: bool = False
+    #: Why the native batches could not be set up; the batch is then
+    #: bisected in :meth:`Oracle.finish_batch`.
+    failure: Optional[Exception] = None
 
 
 class Oracle:
@@ -179,9 +178,12 @@ class Oracle:
     breakage.  ``sanitize`` adds the report-only UBSan/ASan C leg of
     :mod:`repro.analysis.sanitize` (requires the x86 toolchain); pass
     ``True`` for the default config or a :class:`SanitizerConfig`.
-    ``fork_server`` selects the batched execution strategy: the default
-    fork-server harness, or (``False``) the one-subprocess-per-leg path
-    kept as the byte-identical parity reference.
+
+    Native legs run on the fork server of
+    :class:`repro.testing.native.NativeBatch`: one batch per backend holds
+    both opt levels of every case.  A batch that fails to build or run is
+    bisected until the case at fault stands alone, and only that case gets
+    the failure as its verdict.
     """
 
     def __init__(
@@ -194,10 +196,8 @@ class Oracle:
         verify_ir: bool = True,
         ir_transform=None,
         sanitize: Union[bool, SanitizerConfig, None] = None,
-        fork_server: bool = True,
     ) -> None:
         self.asm_transform = asm_transform
-        self.fork_server = fork_server
         self.include_ir_leg = include_ir_leg
         self.verify_ir = verify_ir
         self.ir_transform = ir_transform
@@ -363,31 +363,6 @@ class Oracle:
             "ir-O3", "ok", "", result.return_value, result.arg_values, result.globals
         )
 
-    def _build_native(
-        self, context: CaseContext, inputs: List[Tuple], backend: str, opt: str
-    ) -> native.NativeFunction:
-        return native.NativeFunction(
-            context.source,
-            context.name,
-            inputs,
-            opt,
-            self.workdir,
-            isa=backend,
-            asm_transform=self.asm_transform,
-            context=context,
-        )
-
-    def _run_native(self, native_fn, leg: str, index: int) -> LegOutcome:
-        try:
-            result = native_fn.run(index)
-        except subprocess.CalledProcessError as exc:
-            return LegOutcome(leg, "trap", f"exit status {exc.returncode}")
-        except subprocess.TimeoutExpired:
-            return LegOutcome(leg, "limit", "execution timeout")
-        return LegOutcome(
-            leg, "ok", "", result.return_value, result.arg_values, result.globals
-        )
-
     @staticmethod
     def _batch_outcome_to_leg(outcome: Tuple[str, Any], leg: str) -> LegOutcome:
         status, payload = outcome
@@ -437,22 +412,13 @@ class Oracle:
         self,
         context: CaseContext,
         inputs: List[Tuple],
-        native_outcomes: Callable[[int], List[LegOutcome]],
-        reference_legs: Optional[List[List[LegOutcome]]] = None,
+        reference_legs: List[List[LegOutcome]],
+        native_legs: List[List[LegOutcome]],
     ) -> Optional[Divergence]:
-        """Run the reference legs per input, splice in the native outcomes,
-        and report the first divergence — shared by the per-case and the
-        batched paths so their verdicts cannot drift.  ``reference_legs``
-        passes pre-computed interpreter/IR outcomes (the batched path runs
-        them while the native builds compile in the background); the
-        comparison itself is identical either way.
-        """
+        """Splice each input's native outcomes after its reference-leg
+        outcomes and report the first divergence."""
         for index in range(len(inputs)):
-            if reference_legs is not None:
-                outcomes = list(reference_legs[index])
-            else:
-                outcomes = self._reference_outcomes(context, inputs[index])
-            outcomes.extend(native_outcomes(index))
+            outcomes = reference_legs[index] + native_legs[index]
             reference = outcomes[0]
             for other in outcomes[1:]:
                 mismatch = self._compare(reference, other)
@@ -474,52 +440,25 @@ class Oracle:
     ) -> Optional[Divergence]:
         """Run every leg on every input vector; report the first divergence.
 
-        Raises :class:`repro.compiler.CompileError` (or assembler errors as
-        :class:`OracleError`) when a leg cannot be built — the caller decides
-        whether that is interesting.
+        This is :meth:`check_batch` on one case, except that a case which
+        cannot be built raises instead of returning its exception:
+        :class:`repro.compiler.CompileError` from the front end, or
+        :class:`OracleError` when the toolchain rejects a native leg.  The
+        caller decides whether that is interesting.
         """
-        inputs = list(inputs)
-        # The front half (parse, typecheck, lowering) runs once per case and
-        # is shared by every leg and every input vector.
-        context = self._make_context(source, name)
-        verifier_verdict = self._verify_context(context, inputs)
-        if verifier_verdict is not None:
-            return verifier_verdict
-        natives: Dict[str, native.NativeFunction] = {}
-        for backend in self.native_backends:
-            for opt in ("O0", "O3"):
-                try:
-                    natives[f"{backend}-{opt}"] = self._build_native(
-                        context, inputs, backend, opt
-                    )
-                except subprocess.CalledProcessError as exc:
-                    stderr = (exc.stderr or b"").decode("utf-8", "replace")[-2000:]
-                    raise OracleError(
-                        f"native build failed for {backend}-{opt}: {stderr}"
-                    ) from exc
-
-        def native_outcomes(index: int) -> List[LegOutcome]:
-            return [
-                self._run_native(native_fn, leg, index)
-                for leg, native_fn in natives.items()
-            ]
-
-        divergence = self._first_divergence(context, inputs, native_outcomes)
-        if divergence is None:
-            divergence = self._sanitize_cases([(context, inputs)]).get(0)
-        return divergence
+        verdict = self.check_batch([_Case(source, name, list(inputs))])[0]
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
 
     # -- batched evaluation ----------------------------------------------------
 
     def check_batch(self, cases: Sequence[CaseLike]) -> List[CaseVerdict]:
-        """Evaluate many cases with one native build/run per leg.
+        """Evaluate many cases with one native build/run per backend.
 
         Returns one verdict per case, in order: ``None`` (all legs agree),
         a :class:`Divergence`, or the exception raised while building one of
-        the case's legs.  Verdicts are identical to running
-        :meth:`check_case` on each case individually; if the combined batch
-        binary cannot be built or dies outside any case, the batch falls
-        back to exactly that per-case path.
+        the case's legs.
 
         Internally this is :meth:`prepare_batch` + :meth:`finish_batch`;
         callers that have a next batch ready can call them separately to
@@ -564,9 +503,8 @@ class Oracle:
                     verdicts[index] = verdict
 
         # Compile every native leg of every case up front; a case whose
-        # assembly cannot be built gets its exception as the verdict and
-        # drops out of the batch (matching check_case, where the same
-        # exception propagates to the caller per case).
+        # assembly cannot be emitted gets its exception as the verdict and
+        # drops out of the batch.
         assemblies: Dict[Tuple[int, str, str], str] = {}
         for index, context in enumerate(contexts):
             if context is None or verdicts[index] is not None:
@@ -622,17 +560,10 @@ class Oracle:
                     isa=backend,
                     asm_transform=self.asm_transform,
                     tag=f"batch{self._batch_counter}",
-                    fork_server=self.fork_server,
                 )
                 prepared.batches[backend] = (batch, position)
-        except (
-            subprocess.CalledProcessError,  # cached control-loop object build
-            subprocess.TimeoutExpired,
-            OSError,
-        ):
-            # Whole-batch infrastructure failure: fall back to the per-case
-            # path, which attributes build problems to the right case.
-            prepared.fallback = True
+        except native.BATCH_FAILURES as exc:  # e.g. the control-loop object
+            prepared.failure = exc
             return prepared
 
         # The pure-Python reference legs run while the native builds
@@ -646,56 +577,53 @@ class Oracle:
             ]
         return prepared
 
+    def _native_legs(
+        self, prepared: PreparedBatch
+    ) -> Dict[int, List[List[LegOutcome]]]:
+        """Every active case's native outcomes, per input, in leg order."""
+        legs: Dict[int, List[List[LegOutcome]]] = {}
+        for index in prepared.active:
+            legs[index] = [
+                [
+                    self._batch_outcome_to_leg(
+                        batch.outcome(position[(index, opt)], input_index),
+                        f"{backend}-{opt}",
+                    )
+                    for backend, (batch, position) in prepared.batches.items()
+                    for opt in ("O0", "O3")
+                ]
+                for input_index in range(len(prepared.cases[index].inputs))
+            ]
+        return legs
+
     def finish_batch(self, prepared: PreparedBatch) -> List[CaseVerdict]:
         """Back half of :meth:`check_batch`: join the native builds, stream
-        every (case, input) pair through the batch executors, compare, and
+        every (case, input) pair through the fork servers, compare, and
         run the sanitizer leg over the still-clean cases."""
         cases = prepared.cases
         contexts = prepared.contexts
         verdicts = prepared.verdicts
-        if not prepared.fallback:
-            try:
-                for batch, _ in prepared.batches.values():
-                    batch.ensure_built()
-            except (
-                subprocess.CalledProcessError,
-                subprocess.TimeoutExpired,  # the batch build itself can time out
-                native.BatchExecutionError,
-                OSError,
-            ):
-                prepared.fallback = True
-        if prepared.fallback:
-            return self._check_batch_fallback(cases, verdicts)
+        failure = prepared.failure
+        try:
+            if failure is None:
+                native_legs = self._native_legs(prepared)
+        except native.BATCH_FAILURES as exc:
+            failure = exc
+        finally:
+            for batch, _ in prepared.batches.values():
+                batch.close()
+        if failure is not None:
+            return self._bisect(prepared, failure)
 
         for index in prepared.active:
             context = contexts[index]
             assert context is not None
-            inputs = list(cases[index].inputs)
-
-            def native_outcomes(input_index: int, index=index) -> List[LegOutcome]:
-                outcomes = []
-                for backend in self.native_backends:
-                    batch, position = prepared.batches[backend]
-                    for opt in ("O0", "O3"):
-                        outcomes.append(
-                            self._batch_outcome_to_leg(
-                                batch.outcome(position[(index, opt)], input_index),
-                                f"{backend}-{opt}",
-                            )
-                        )
-                return outcomes
-
-            try:
-                verdicts[index] = self._first_divergence(
-                    context,
-                    inputs,
-                    native_outcomes,
-                    reference_legs=prepared.reference[index],
-                )
-            except native.BatchExecutionError:
-                verdicts[index] = self.check_case(
-                    cases[index].source, cases[index].name, inputs
-                )
+            verdicts[index] = self._first_divergence(
+                context,
+                list(cases[index].inputs),
+                prepared.reference[index],
+                native_legs[index],
+            )
 
         # Instrumented C leg, last: report-only, so IO divergences keep
         # precedence and only still-clean cases are submitted.
@@ -710,16 +638,35 @@ class Oracle:
                 verdicts[clean[position]] = verdict
         return verdicts
 
-    def _check_batch_fallback(
-        self, cases: Sequence[CaseLike], verdicts: List[CaseVerdict]
+    def _bisect(
+        self, prepared: PreparedBatch, failure: Exception
     ) -> List[CaseVerdict]:
-        for index, case in enumerate(cases):
-            if verdicts[index] is not None:
-                continue
-            try:
-                verdicts[index] = self.check_case(
-                    case.source, case.name, list(case.inputs)
-                )
-            except Exception as exc:
-                verdicts[index] = exc
+        """Attribute a failed native batch: re-check each half of its cases
+        until the failing case stands alone and gets the failure."""
+        active = prepared.active
+        verdicts = prepared.verdicts
+        if not active:
+            return verdicts
+        if len(active) == 1:
+            stderr = getattr(failure, "stderr", None) or b""
+            if isinstance(stderr, bytes):
+                stderr = stderr.decode("utf-8", "replace")
+            verdicts[active[0]] = OracleError(
+                f"native leg failed: {stderr[-2000:] or failure}"
+            )
+            return verdicts
+        half = len(active) // 2
+        for part in (active[:half], active[half:]):
+            part_verdicts = self.check_batch([prepared.cases[index] for index in part])
+            for index, verdict in zip(part, part_verdicts):
+                verdicts[index] = verdict
         return verdicts
+
+
+@dataclass
+class _Case:
+    """The minimal :data:`CaseLike` :meth:`Oracle.check_case` wraps."""
+
+    source: str
+    name: str
+    inputs: List[Tuple]

@@ -676,3 +676,55 @@ int local_array_slots(int n) {
         [(10,), (0,), (-5,)],
     ),
 ]
+
+#: Signatures wider than the argument registers: more than six
+#: integer-class or more than eight ``double`` parameters, so the caller
+#: passes the overflow on the stack (SysV x86-64 has six integer and
+#: eight FP argument registers, AAPCS64 eight of each).
+WIDE_SIGNATURES = [
+    (
+        """
+long wide_longs(long a, long b, long c, long d, long e, long f, long g) {
+    return a + 2 * b + 3 * c + 4 * d + 5 * e + 6 * f + 7 * g;
+}
+""",
+        "wide_longs",
+        [(1, 2, 3, 4, 5, 6, 7), (-7, 6, -5, 4, -3, 2, -1000000000000)],
+    ),
+    (
+        """
+double wide_doubles(double a, double b, double c, double d, double e,
+                    double f, double g, double h, double k) {
+    return a + 2.0 * b + 3.0 * c + 4.0 * d + 5.0 * e + 6.0 * f + 7.0 * g
+        + 8.0 * h + 9.0 * k;
+}
+""",
+        "wide_doubles",
+        [
+            (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0),
+            (-0.5, 0.25, 1e10, -3.0, 0.0, 2.5, -1.0, 7.75, 0.125),
+        ],
+    ),
+    (
+        """
+int wide_total = 5;
+
+long wide_mixed(int a, double x, long b, double y, int c, double z, long d,
+                double u, int e, double v, long f, double w, int g,
+                double p, double q, double r, int *out) {
+    *out = a - b + c - d + e - f + g;
+    wide_total = wide_total + (int) (x + 2.0 * y + 3.0 * z + 4.0 * u
+        + 5.0 * v + 6.0 * w + 7.0 * p + 8.0 * q + 9.0 * r);
+    return a + 10 * b + 100 * c + 1000 * d + 10000 * e + 100000 * f
+        + 1000000 * g;
+}
+""",
+        "wide_mixed",
+        [
+            (1, 1.0, 2, 2.0, 3, 3.0, 4, 4.0, 5, 5.0, 6, 6.0, 7, 7.0, 8.0, 9.0,
+             [0]),
+            (-9, 0.5, 8, -1.5, -7, 2.25, 6, 0.0, -5, 4.0, 4, -8.5, -3, 1.0, 1.0,
+             -2.0, [41]),
+        ],
+    ),
+]

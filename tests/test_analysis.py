@@ -240,10 +240,8 @@ def test_lint_trap_predictions_match_certified_labels():
 def test_score_prefilter_preserves_verdicts():
     entries = generated_entries(3, 6, max_stmts=8, isas=("x86",), opt_levels=("O0",))
     candidate_sets = [Mutator(entry.seed).candidates(entry, 4) for entry in entries]
-    with_lint = score_dataset(entries, candidate_sets, backend="none", use_batch=False)
-    without = score_dataset(
-        entries, candidate_sets, backend="none", use_batch=False, lint=False
-    )
+    with_lint = score_dataset(entries, candidate_sets, backend="none")
+    without = score_dataset(entries, candidate_sets, backend="none", lint=False)
     assert (
         with_lint["aggregate"]["verdict_counts"]
         == without["aggregate"]["verdict_counts"]

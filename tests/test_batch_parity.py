@@ -1,11 +1,13 @@
-"""Batch/parallel parity: the throughput machinery must not change verdicts.
+"""The fork-server executor's own semantics, and batch/parallel parity.
 
-The batched native path (``Oracle.check_batch`` / ``NativeBatch``) and the
-``--jobs N`` worker pool exist purely for speed; this module pins the
-acceptance property that a fixed-seed run through them produces verdicts
-identical to the sequential per-case path — including trap observations,
-and including the exact ``Divergence.describe()`` text when a (deterministic)
-miscompile is injected.
+``NativeBatch`` is the only native executor.  This module pins what it
+promises on its own: a trapping pair does not eat later pairs, globals
+start pristine for every pair, a killed server costs a restart, a pair
+that kills it every time is charged alone, builds get a deadline scaled to
+the batch, ``close()`` reaps the whole process group, and a group that
+fails to build is bisected until only the case at fault is charged.  It
+also pins that verdicts do not depend on how cases are batched
+(``Oracle.check_case`` is a batch of one) or sharded (``--jobs N``).
 """
 
 from dataclasses import dataclass
@@ -35,11 +37,10 @@ class _Case:
 def _swap_first_addl(assembly: str) -> str:
     """A *deterministic* injected miscompile (first ``addl`` -> ``subl``).
 
-    Unlike ``strip_cltd`` — whose misbehaviour reads whatever garbage %edx
-    happens to hold, and therefore legitimately differs between a fresh
-    process and a shared batch process — this transform corrupts results
-    deterministically, so even the post-divergence outcome lines must match
-    byte for byte between the batched and sequential paths.
+    Unlike ``strip_cltd`` — whose misbehaviour reads whatever %edx holds,
+    which depends on the code around the division — this transform
+    corrupts the result itself, so even the post-divergence outcome lines
+    must match byte for byte between a many-case batch and batches of one.
     """
     lines = assembly.splitlines()
     for index, line in enumerate(lines):
@@ -50,7 +51,7 @@ def _swap_first_addl(assembly: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Oracle-level parity (toolchain-free)
+# Batch-composition parity: a case's verdict does not depend on its batch
 # ---------------------------------------------------------------------------
 
 
@@ -76,15 +77,10 @@ def test_check_batch_reports_parse_errors_per_case():
     assert isinstance(verdicts[1], Exception)
 
 
-# ---------------------------------------------------------------------------
-# Native batch parity
-# ---------------------------------------------------------------------------
-
-
 @needs_toolchain
 def test_batched_verdicts_identical_to_sequential_fixed_seed():
-    """Clean fixed-seed cases: batch and per-case paths both report None,
-    and a case where every leg traps is equally clean on both."""
+    """Clean fixed-seed cases: a many-case batch and batches of one both
+    report None, and a case where every leg traps is equally clean."""
     oracle = Oracle(backends=("x86",))
     cases = [generate_case(case_seed(5, index), max_stmts=8) for index in range(20)]
     cases.append(
@@ -161,92 +157,8 @@ int bump(int k) {
 
 
 # ---------------------------------------------------------------------------
-# Fork-server parity (the subprocess harness is the reference)
+# Fork-server semantics
 # ---------------------------------------------------------------------------
-
-
-@needs_toolchain
-def test_forkserver_campaign_records_identical_to_subprocess():
-    """Fixed-seed campaign verdicts must not depend on the execution mode."""
-    fork = run_campaign(FuzzConfig(backends=("x86",), batch_size=8), 7, 16)
-    sub = run_campaign(
-        FuzzConfig(backends=("x86",), batch_size=8, fork_server=False), 7, 16
-    )
-    assert _records(fork) == _records(sub)
-    assert all(r.status == "ok" for r in fork)
-
-
-@needs_toolchain
-def test_forkserver_divergences_byte_identical_to_subprocess():
-    """Under a deterministic miscompile the two modes must produce the very
-    same ``Divergence.describe()`` text — same diverging leg, same values,
-    same report bytes."""
-    cases = [generate_case(case_seed(0, index), max_stmts=8) for index in range(12)]
-    fork_oracle = Oracle(
-        backends=("x86",), asm_transform=_swap_first_addl, fork_server=True
-    )
-    sub_oracle = Oracle(
-        backends=("x86",), asm_transform=_swap_first_addl, fork_server=False
-    )
-    fork_verdicts = fork_oracle.check_batch(cases)
-    sub_verdicts = sub_oracle.check_batch(cases)
-    divergences = 0
-    for fork_verdict, sub_verdict in zip(fork_verdicts, sub_verdicts):
-        assert not isinstance(fork_verdict, Exception), fork_verdict
-        assert not isinstance(sub_verdict, Exception), sub_verdict
-        assert (fork_verdict is None) == (sub_verdict is None)
-        if fork_verdict is not None:
-            divergences += 1
-            assert fork_verdict.describe() == sub_verdict.describe()
-    assert divergences >= 1, "deterministic miscompile produced no divergence"
-
-
-@needs_toolchain
-def test_forkserver_outcomes_byte_identical_to_subprocess_with_traps():
-    """Every (case, input) outcome — ok values, trap attribution strings —
-    must match the subprocess reference byte for byte."""
-    import tempfile
-    from pathlib import Path
-
-    trap = _Case("int f(int a) {\n    return 7 / a;\n}\n", "f", [(0,), (2,), (0,)])
-    clean = _Case("int g(int a) {\n    return a * 3;\n}\n", "g", [(1,), (-5,)])
-    glob = _Case(
-        "int acc = 2;\n\nint h(int k) {\n    acc += k;\n    return acc;\n}\n",
-        "h",
-        [(5,), (0,)],
-    )
-    cases = [trap, clean, glob]
-
-    def outcomes(fork_server):
-        with tempfile.TemporaryDirectory() as tmp:
-            batch = NativeBatch(
-                [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
-                "O0",
-                Path(tmp),
-                fork_server=fork_server,
-            )
-            assert batch.fork_server == fork_server
-            table = {}
-            for case_index, case in enumerate(cases):
-                for input_index in range(len(case.inputs)):
-                    status, payload = batch.outcome(case_index, input_index)
-                    if status == "ok":
-                        table[(case_index, input_index)] = (
-                            status,
-                            payload.return_value,
-                            list(payload.arg_values),
-                            dict(payload.globals),
-                        )
-                    else:
-                        table[(case_index, input_index)] = (status, str(payload))
-            return table
-
-    fork_table = outcomes(True)
-    sub_table = outcomes(False)
-    assert fork_table == sub_table
-    assert fork_table[(0, 0)][0] == "trap"
-    assert "exit status" in fork_table[(0, 0)][1]
-    assert fork_table[(0, 1)] == ("ok", 3, [2], {})
 
 
 @needs_toolchain
@@ -278,9 +190,7 @@ def test_forkserver_recovers_from_killed_server(monkeypatch):
             [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
             "O0",
             Path(tmp),
-            fork_server=True,
         )
-        assert batch.fork_server
         expected = {(0, 0): 11, (0, 1): 12, (0, 2): 13, (1, 0): 16, (1, 1): 25}
         for (case_index, input_index), value in expected.items():
             status, result = batch.outcome(case_index, input_index)
@@ -318,7 +228,6 @@ def test_forkserver_charges_pair_that_kills_server_every_time(monkeypatch):
             [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
             "O0",
             Path(tmp),
-            fork_server=True,
         )
         # Execution is lazy: the request table exists before any pair runs,
         # so the poison can target pair (0, 1) deterministically.
@@ -394,7 +303,6 @@ def test_close_mid_execution_reaps_fork_server_group():
             "O0",
             Path(tmp),
             run_timeout=120.0,
-            fork_server=True,
         )
         failure = []
 
@@ -502,3 +410,117 @@ def test_closed_batch_refuses_new_execution():
         batch.close()
         with pytest.raises(BatchExecutionError):
             batch.outcome(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Failure attribution: a failed group is bisected down to the case at fault
+# ---------------------------------------------------------------------------
+
+
+def _unlinkable(assembly: str) -> str:
+    """Assembly that assembles but cannot link: it calls a missing symbol."""
+    return assembly + "\n\t.text\n.Lpoisoned:\n\tcall\tmc_no_such_symbol\n"
+
+
+@needs_toolchain
+def test_grouped_runner_charges_only_the_unlinkable_case():
+    import subprocess
+    import tempfile
+    from pathlib import Path
+
+    from repro.testing.frontend import CaseContext
+    from repro.testing.native import GroupedBatchRunner
+
+    def case(index, poisoned=False):
+        source = f"int f{index}(int a) {{ return a + {index}; }}"
+        assembly = CaseContext(source, f"f{index}").assembly("x86", "O0")
+        if poisoned:
+            assembly = _unlinkable(assembly)
+        return BatchCase(source, f"f{index}", [(1,), (2,)], assembly=assembly)
+
+    units = [[case(0), case(1)], [case(2), case(3, poisoned=True), case(4)], [case(5)]]
+    with tempfile.TemporaryDirectory() as tmp:
+        with GroupedBatchRunner("O0", Path(tmp)) as runner:
+            results = dict(runner.run(units))
+    assert sorted(results) == [0, 1, 2]
+    failure = results[1][1]
+    assert isinstance(failure, subprocess.CalledProcessError)
+    assert b"mc_no_such_symbol" in failure.stderr
+    for unit_index, unit in enumerate(units):
+        for position, batch_case in enumerate(unit):
+            if batch_case.name == "f3":
+                continue
+            index = int(batch_case.name[1:])
+            outcomes = results[unit_index][position]
+            assert [(status, result.return_value) for status, result in outcomes] == [
+                ("ok", 1 + index),
+                ("ok", 2 + index),
+            ]
+
+
+@needs_toolchain
+def test_scorer_charges_compile_error_to_the_unlinkable_candidate_alone(monkeypatch):
+    """One candidate's assembly fails to link inside a shared group: that
+    candidate alone gets ``compile_error`` with the toolchain's detail, and
+    its group-mates and the rest of its entry keep their verdicts."""
+    from repro.eval import score
+    from repro.eval.dataset import generated_entries
+    from repro.eval.mutate import Mutator
+
+    entries = generated_entries(17, 4, max_stmts=8, isas=("x86",), opt_levels=("O0",))
+    sets = [Mutator(entry.seed).candidates(entry, 6) for entry in entries]
+    clean = score.score_dataset(entries, sets, backend="x86")
+    survivors = [
+        (f, c)
+        for f, function in enumerate(clean["functions"])
+        for c, candidate in enumerate(function["candidates"])
+        if candidate["verdict"] in ("io_equivalent", "io_mismatch", "trap")
+        and not candidate.get("lint_prefilter")
+    ]
+    target_function, target_candidate = survivors[len(survivors) // 2]
+    poisoned_text = sets[target_function][target_candidate].text
+
+    original_gate = score._front_end_gate
+
+    def gate(source, name, backend, opt_level, cache=None):
+        result = original_gate(source, name, backend, opt_level, cache)
+        if source == poisoned_text and not isinstance(result, tuple):
+            result.seed_assembly(
+                backend, opt_level, _unlinkable(result.assembly(backend, opt_level))
+            )
+        return result
+
+    monkeypatch.setattr(score, "_front_end_gate", gate)
+    poisoned = score.score_dataset(entries, sets, backend="x86")
+
+    for f, (before, after) in enumerate(zip(clean["functions"], poisoned["functions"])):
+        for c, (was, now) in enumerate(zip(before["candidates"], after["candidates"])):
+            if sets[f][c].text == poisoned_text:
+                assert now["verdict"] == "compile_error"
+                assert now["detail"].startswith("toolchain failed on the assembly: ")
+                assert "mc_no_such_symbol" in now["detail"]
+            else:
+                assert now == was, (f, c)
+
+
+@needs_toolchain
+def test_oracle_charges_only_the_unlinkable_case():
+    """A native batch that fails to link is bisected: the case at fault
+    gets an ``OracleError`` verdict (``check_case`` raises it), and every
+    other case of the batch is still checked."""
+    from repro.testing.oracle import OracleError
+
+    def poison(assembly):
+        return _unlinkable(assembly) if "poisoned" in assembly else assembly
+
+    oracle = Oracle(backends=("x86",), asm_transform=poison)
+    cases = [
+        _Case(f"int {name}(int a) {{\n    return a * 3;\n}}\n", name, [(1,), (5,)])
+        for name in ("f0", "f1", "poisoned", "f3", "f4")
+    ]
+    verdicts = oracle.check_batch(cases)
+    assert isinstance(verdicts[2], OracleError)
+    assert "mc_no_such_symbol" in str(verdicts[2])
+    assert verdicts[:2] == [None, None] and verdicts[3:] == [None, None]
+    with pytest.raises(OracleError):
+        oracle.check_case(cases[2].source, cases[2].name, cases[2].inputs)

@@ -1,19 +1,10 @@
 """Unit tests for the benchmark harness's regression gates (no timing)."""
 
-from repro.perf.bench import (
-    PRE_BATCHING_BASELINE,
-    PRE_FORKSERVER_BASELINE,
-    compare_reports,
-)
+from repro.perf.bench import compare_reports
 
 
-def _report(rate: float, speedup: float = 5.0) -> dict:
-    return {
-        "fuzz": {
-            "batched": {"cases_per_second": rate},
-            "speedup_batched_vs_sequential": speedup,
-        }
-    }
+def _report(rate: float) -> dict:
+    return {"fuzz": {"batched": {"cases_per_second": rate}}}
 
 
 def test_compare_within_tolerance_passes():
@@ -26,49 +17,13 @@ def test_compare_absolute_regression_fails():
     assert failure is not None and "regressed" in failure
 
 
-def test_compare_host_relative_speedup_gate():
-    """A fast host must not mask a broken batching layer: even when the
-    absolute rate beats the baseline, a collapsed batched-vs-sequential
-    speedup fails the gate."""
-    failure = compare_reports(
-        _report(50.0, speedup=1.1), _report(10.0), tolerance=0.30
-    )
-    assert failure is not None and "sequential path" in failure
-    assert compare_reports(_report(50.0, speedup=3.0), _report(10.0), 0.30) is None
-
-
-def test_compare_skips_speedup_gate_without_native_legs():
-    """A toolchain-free host cannot exhibit a batching speedup (batching
-    only changes native execution), so the relative gate must not fire."""
-    current = _report(8.0, speedup=1.0)
-    current["fuzz"]["legs"] = ["interp", "ir-O3"]
-    assert compare_reports(current, _report(10.0), tolerance=0.30) is None
-    # With native legs present the gate still fires.
-    current["fuzz"]["legs"] = ["interp", "ir-O3", "x86-O0", "x86-O3"]
-    assert compare_reports(current, _report(10.0), tolerance=0.30) is not None
-
-
 def test_compare_tolerates_malformed_baseline():
     assert compare_reports(_report(6.0), {}, tolerance=0.30) is not None
 
 
-def test_pre_batching_baseline_is_recorded():
-    assert PRE_BATCHING_BASELINE["cases"] == 500
-    assert PRE_BATCHING_BASELINE["cases_per_second"] > 0
-
-
-def test_pre_forkserver_baseline_is_recorded():
-    assert PRE_FORKSERVER_BASELINE["fuzz_cases_per_second"] > 0
-    assert PRE_FORKSERVER_BASELINE["eval_candidates_per_second"] > 0
-
-
-def _eval_report(rate: float, speedup: float = 3.0, backend: str = "x86") -> dict:
-    report = _report(50.0, speedup=5.0)
-    report["eval"] = {
-        "candidates_per_second": rate,
-        "speedup_vs_pre_forkserver": speedup,
-        "backend": backend,
-    }
+def _eval_report(rate: float) -> dict:
+    report = _report(50.0)
+    report["eval"] = {"candidates_per_second": rate, "backend": "x86"}
     return report
 
 
@@ -80,27 +35,8 @@ def test_compare_eval_absolute_regression_fails():
     assert compare_reports(_eval_report(90.0), _eval_report(100.0), 0.30) is None
 
 
-def test_compare_eval_forkserver_floor():
-    """Even when absolute eval throughput beats the baseline, dropping
-    under 2x the pre-fork-server baseline fails the acceptance floor."""
-    failure = compare_reports(
-        _eval_report(200.0, speedup=1.4), _eval_report(100.0), tolerance=0.30
-    )
-    assert failure is not None and "pre-fork-server" in failure
-    # The floor is native-execution specific: the interpreter substrate
-    # cannot exhibit it.
-    assert (
-        compare_reports(
-            _eval_report(200.0, speedup=1.4, backend="none"),
-            _eval_report(100.0),
-            tolerance=0.30,
-        )
-        is None
-    )
-
-
 def test_compare_jobs_scaling_gate():
-    current = _report(50.0, speedup=5.0)
+    current = _report(50.0)
     baseline = _report(10.0)
     failure = compare_reports(
         current, baseline, tolerance=0.30, require_jobs_scaling=True

@@ -325,8 +325,6 @@ def _score_report(entries, candidate_sets, cache=None, jobs=1):
         entries,
         candidate_sets,
         backend="x86" if have_native_toolchain() else "none",
-        use_batch=True,
-        fork_server=have_native_toolchain(),
         jobs=jobs,
         cache=cache,
     )

@@ -246,7 +246,7 @@ def test_edit_similarity_metric():
 @needs_toolchain
 def test_scorer_agrees_with_ground_truth_on_native():
     entries, sets = _small_dataset(seed=13, functions=5, candidates=6)
-    report = score_dataset(entries, sets, backend="x86", use_batch=True)
+    report = score_dataset(entries, sets, backend="x86")
     aggregate = report["aggregate"]
     assert aggregate["ground_truth_agreement"] == 1.0, aggregate["mismatches"]
     assert aggregate["candidates"] == 30
@@ -258,36 +258,26 @@ def test_scorer_agrees_with_ground_truth_on_native():
 
 @needs_toolchain
 def test_batch_scoring_is_byte_identical_to_per_candidate():
+    """Candidates grouped across functions score exactly as each one does
+    alone, in a batch of one."""
     entries, sets = _small_dataset(seed=17, functions=4, candidates=6)
-    batched = score_dataset(entries, sets, backend="x86", use_batch=True)
-    sequential = score_dataset(entries, sets, backend="x86", use_batch=False)
-    batched["config"]["batched"] = None
-    sequential["config"]["batched"] = None
-    assert json.dumps(batched, sort_keys=True) == json.dumps(
-        sequential, sort_keys=True
-    )
+    report = score_dataset(entries, sets, backend="x86")
+    for entry, candidates, function in zip(entries, sets, report["functions"]):
+        for candidate, grouped in zip(candidates, function["candidates"]):
+            [alone] = score_candidates(entry, [candidate], backend="x86")
+            alone_json = {**alone.to_json(), "index": grouped["index"]}
+            assert alone_json == grouped
 
 
 @needs_toolchain
 def test_every_execution_path_is_byte_identical():
-    """Fork-server groups, subprocess groups, per-candidate binaries and
-    sharded workers are interchangeable: same report bytes from all four."""
+    """One executor: in-process and sharded workers write the same report
+    bytes, and the report names no execution path."""
     entries, sets = _small_dataset(seed=17, functions=4, candidates=6)
-
-    def comparable(report):
-        report["config"]["batched"] = None
-        report["config"]["fork_server"] = None
-        return json.dumps(report, sort_keys=True)
-
-    fork = comparable(score_dataset(entries, sets, backend="x86"))
-    sub = comparable(
-        score_dataset(entries, sets, backend="x86", fork_server=False)
-    )
-    single = comparable(
-        score_dataset(entries, sets, backend="x86", use_batch=False)
-    )
-    sharded = comparable(score_dataset(entries, sets, backend="x86", jobs=3))
-    assert fork == sub == single == sharded
+    report = score_dataset(entries, sets, backend="x86")
+    sharded = score_dataset(entries, sets, backend="x86", jobs=3)
+    assert json.dumps(report) == json.dumps(sharded)
+    assert report["config"] == {"backend": "x86", "opt_level": "O0", "lint": True}
 
 
 @needs_toolchain
@@ -299,9 +289,7 @@ def test_report_is_stable_under_fixed_seed():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     # Schema pin: downstream consumers (CI artifact, bench) rely on these.
     assert first["schema"] == 1
-    assert set(first["config"]) == {
-        "backend", "opt_level", "batched", "fork_server", "lint"
-    }
+    assert set(first["config"]) == {"backend", "opt_level", "lint"}
     aggregate = first["aggregate"]
     assert set(aggregate) >= {
         "functions",

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from corpus import CORPUS
-from repro.testing.native import NativeFunction, have_native_toolchain, values_equal
+from corpus import CORPUS, WIDE_SIGNATURES
+from repro.testing.frontend import CaseContext
+from repro.testing.native import BatchCase, NativeBatch, have_native_toolchain
+from repro.testing.oracle import values_equal
 
 pytestmark = pytest.mark.skipif(
     not have_native_toolchain(),
@@ -31,24 +33,36 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("native")
 
 
+def _run_native(source, name, inputs, opt, workdir):
+    """(native result, interpreter result) per input, from a one-case batch."""
+    context = CaseContext(source, name)
+    case = BatchCase(source, name, list(inputs), context=context)
+    with NativeBatch([case], opt, workdir, tag=name) as batch:
+        pairs = []
+        for index, args in enumerate(inputs):
+            status, actual = batch.outcome(0, index)
+            assert status == "ok", f"{name}{args} @ {opt}: {status} ({actual})"
+            pairs.append((actual, context.interpreter().run_function(name, args)))
+    return pairs
+
+
 def _check_entry(source, name, inputs, opt, workdir):
-    native = NativeFunction(source, name, inputs, opt, workdir)
-    for index in range(len(inputs)):
-        expected = native.expected(index)
-        actual = native.run(index)
+    for args, (actual, expected) in zip(
+        inputs, _run_native(source, name, inputs, opt, workdir)
+    ):
         if expected.return_value is not None:
             assert values_equal(actual.return_value, expected.return_value), (
-                f"{name}{inputs[index]} @ {opt}: native returned "
+                f"{name}{args} @ {opt}: native returned "
                 f"{actual.return_value!r}, interpreter {expected.return_value!r}"
             )
         for j, value in enumerate(actual.arg_values):
             assert values_equal(value, expected.arg_values[j]), (
-                f"{name}{inputs[index]} @ {opt}: arg {j} native {value!r} "
+                f"{name}{args} @ {opt}: arg {j} native {value!r} "
                 f"!= interpreter {expected.arg_values[j]!r}"
             )
         for gname, gvalue in actual.globals.items():
             assert values_equal(gvalue, expected.globals[gname]), (
-                f"{name}{inputs[index]} @ {opt}: global {gname} native "
+                f"{name}{args} @ {opt}: global {gname} native "
                 f"{gvalue!r} != interpreter {expected.globals[gname]!r}"
             )
 
@@ -59,6 +73,20 @@ def _check_entry(source, name, inputs, opt, workdir):
 )
 def test_native_matches_interpreter(source, name, inputs, opt, workdir):
     _check_entry(source, name, inputs, opt, workdir)
+
+
+@pytest.mark.parametrize("opt", ["O0", "O3"])
+@pytest.mark.parametrize(
+    "source,name,inputs", WIDE_SIGNATURES, ids=[entry[1] for entry in WIDE_SIGNATURES]
+)
+def test_wide_signature_matches_interpreter(source, name, inputs, opt, workdir):
+    """Signatures wider than the argument registers run on the batch too:
+    the case's call stub passes the overflow on the stack."""
+    _check_entry(source, name, inputs, opt, workdir)
+    if name == "wide_mixed":  # the out-parameter and the global are observed
+        actual, _ = _run_native(source, name, inputs[:1], opt, workdir)[0]
+        assert actual.arg_values[-1] == [4]
+        assert actual.globals == {"wide_total": 290}
 
 
 def test_overflowing_intermediate_matches_interpreter(workdir):
@@ -72,13 +100,12 @@ int prod_div(int a, int b, int c) {
 """
     inputs = [(100000, 100000, 1000), (46341, 46341, 7)]
     for opt in ("O0", "O3"):
-        native = NativeFunction(source, "prod_div", inputs, opt, workdir)
-        for index in range(len(inputs)):
-            expected = native.expected(index).return_value
-            actual = native.run(index).return_value
-            assert actual == expected, (
-                f"prod_div{inputs[index]} @ {opt}: native {actual} != "
-                f"interpreter {expected} (32-bit intermediate not wrapped?)"
+        results = _run_native(source, "prod_div", inputs, opt, workdir)
+        for args, (actual, expected) in zip(inputs, results):
+            assert actual.return_value == expected.return_value, (
+                f"prod_div{args} @ {opt}: native {actual.return_value} != "
+                f"interpreter {expected.return_value} (32-bit intermediate not "
+                "wrapped?)"
             )
     # Sanity: the overflow really happens (64-bit arithmetic would differ).
     a, b, c = inputs[0]

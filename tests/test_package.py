@@ -39,27 +39,29 @@ def test_dir_lists_exports():
 
 
 def test_native_harness_public_api_surface():
-    """The native harnesses live in ``repro.testing.native`` (the
+    """The native harness lives in ``repro.testing.native`` (the
     ``tests/native_runner.py`` shim is gone); pin the public surface so a
     future relocation cannot silently break consumers again."""
     module = importlib.import_module("repro.testing.native")
     for name in (
         "BatchCase",
         "BatchExecutionError",
+        "GroupedBatchRunner",
         "NativeBatch",
-        "NativeFunction",
         "NativeResult",
         "have_arm_toolchain",
         "have_native_toolchain",
-        "values_equal",
     ):
         assert name in module.__all__, name
         assert getattr(module, name) is not None
-    # The lazy package-level re-exports must resolve to the same objects.
+    # One executor: the per-function harness and the re-export shim are gone.
+    assert not hasattr(module, "NativeFunction")
+    assert not hasattr(module, "values_equal")
+    # The lazy package-level re-export must resolve to the same object.
     import repro.testing as testing_pkg
 
     assert testing_pkg.NativeBatch is module.NativeBatch
-    assert testing_pkg.NativeFunction is module.NativeFunction
+    assert "NativeFunction" not in testing_pkg.__all__
 
 
 def test_eval_package_api_surface():
