@@ -7,9 +7,9 @@ and the per-worker build directories warm across requests, so scoring a
 model's sampled candidates at volume pays the toolchain cost once per
 *unique* candidate, not once per request.
 
-Stdlib only — the server is ``asyncio`` streams plus a hand-rolled (and
-deliberately minimal) HTTP/1.1 request reader; no web framework, no new
-runtime dependency.
+Stdlib only — the server is ``http.server.ThreadingHTTPServer``; no web
+framework, no new runtime dependency.  Requests are bounded (16 MiB body, 100
+headers, 64 KiB header lines, 60 s read deadline); bad framing gets a JSON error.
 
 Endpoints
 ---------
@@ -60,7 +60,7 @@ deterministically — the same discipline as ``repair --resume``.
 from __future__ import annotations
 
 import argparse
-import asyncio
+import http.server
 import json
 import os
 import queue
@@ -100,9 +100,17 @@ from repro.eval.score import (
 
 DEFAULT_PORT = 8731
 
-#: Largest accepted request body; far above any real grid request, small
-#: enough that a confused client cannot balloon the process.
-MAX_BODY_BYTES = 1 << 28
+#: Largest accepted request body, read whole into memory.  The largest
+#: single request of the 50x8 grid is 27.7 KB and the whole grid as one
+#: ``{"requests": [...]}`` batch is 655 KB, so 16 MiB is ample headroom.
+MAX_BODY_BYTES = 16 << 20
+
+#: Read deadline (the handler's socket timeout): a client that stalls this
+#: long mid-request or on an idle keep-alive connection is disconnected.  It
+#: may not be short: perfbench's warm-fill connection idles for a third of
+#: ``--seconds`` (10 s at the benchmark's 30 s) before it sends ``/stats``
+#: and ``/shutdown``; a shorter deadline fails every serve round.
+REQUEST_TIMEOUT_S = 60.0
 
 
 class ServiceError(Exception):
@@ -127,10 +135,8 @@ class Job:
     status: str = "pending"  # "pending" | "running" | "done" | "error"
     result: Optional[Any] = None
     error: str = ""
-    #: Set when the job reaches a terminal status (threading side).
+    #: Set when the job reaches a terminal status.
     done_event: threading.Event = field(default_factory=threading.Event)
-    #: (loop, event) pairs of async handlers awaiting completion.
-    waiters: List[Tuple[Any, Any]] = field(default_factory=list)
 
     def to_json(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"id": self.id, "seq": self.seq, "status": self.status}
@@ -145,8 +151,8 @@ class JobJournal:
     """Append-only JSON-lines journal of jobs and their results.
 
     Two record types: ``{"type": "job", "seq", "id", "request"}`` written
-    at submission, and ``{"type": "result", "id", "status", ...}`` written
-    at completion.  No timestamps, no RNG: replaying the journal after a
+    at submission, and ``{"type": "result", **Job.to_json()}`` written at
+    completion.  No timestamps, no RNG: replaying the journal after a
     restart reconstructs exactly the jobs that were in flight, and
     re-scoring them is deterministic, so a restarted daemon converges on
     byte-identical results.  A truncated tail line (crash mid-append) is
@@ -171,10 +177,7 @@ class JobJournal:
         try:
             with open(self.path, encoding="utf-8") as handle:
                 for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
+                    try:  # blank or torn lines fail to parse and are skipped
                         record = json.loads(line)
                     except ValueError:
                         continue
@@ -237,10 +240,10 @@ class ScoringService:
         self._seq = 0
         self._lock = threading.Lock()
         self._request_counts: Dict[str, int] = {}
+        self._stopped = False
 
         self.bound_port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
+        self._server: Optional[_Server] = None
         self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -422,21 +425,8 @@ class ScoringService:
             finally:
                 self._busy[index] = False
             if job.journaled and self.journal is not None:
-                record: Dict[str, Any] = {
-                    "type": "result",
-                    "id": job.id,
-                    "status": job.status,
-                }
-                if job.status == "done":
-                    record["result"] = job.result
-                else:
-                    record["error"] = job.error
-                self.journal.append(record)
-            with self._lock:
-                job.done_event.set()
-                waiters, job.waiters = list(job.waiters), []
-            for loop, event in waiters:
-                loop.call_soon_threadsafe(event.set)
+                self.journal.append({"type": "result", **job.to_json()})
+            job.done_event.set()
 
     def _start_workers(self) -> None:
         for index in range(self.workers):
@@ -450,6 +440,8 @@ class ScoringService:
             self._threads.append(thread)
 
     def _stop_workers(self) -> None:
+        with self._lock:
+            self._stopped = True
         for _ in self._threads:
             self._queue.put(None)
         for thread in self._threads:
@@ -458,8 +450,10 @@ class ScoringService:
 
     # -- submission -----------------------------------------------------------
 
-    def _submit(self, request: Dict[str, Any], journaled: bool) -> Job:
+    def _submit(self, request: Dict[str, Any], journaled: bool) -> Optional[Job]:
         with self._lock:
+            if self._stopped:  # a job behind the workers' stop sentinels never runs
+                return None
             seq = self._seq
             self._seq += 1
             job = Job(job_id_for(seq, request), seq, request, journaled)
@@ -471,15 +465,6 @@ class ScoringService:
             )
         self._queue.put(job)
         return job
-
-    async def _wait(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
-        event = asyncio.Event()
-        with self._lock:
-            if job.done_event.is_set():
-                return
-            job.waiters.append((loop, event))
-        await event.wait()
 
     # -- stats ----------------------------------------------------------------
 
@@ -502,7 +487,7 @@ class ScoringService:
 
     # -- HTTP layer -----------------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, Any]:
+    def _dispatch(self, method: str, path: str, body: bytes) -> Tuple[int, Any]:
         route = path if not path.startswith("/jobs/") else "/jobs/<id>"
         with self._lock:
             key = f"{method} {route}"
@@ -517,9 +502,7 @@ class ScoringService:
                 return 404, {"error": "no such job"}
             return 200, job.to_json()
         if method == "POST" and path == "/shutdown":
-            assert self._loop is not None and self._stop_event is not None
-            # Stop slightly later so this response still reaches the client.
-            self._loop.call_later(0.05, self._stop_event.set)
+            # The handler stops the server once this answer is written.
             return 200, {"ok": True, "shutting_down": True}
         if method == "POST" and path in ("/score", "/jobs"):
             try:
@@ -530,64 +513,18 @@ class ScoringService:
                 self._validate(request)
             except ServiceError as exc:
                 return 400, {"error": str(exc)}
-            if path == "/jobs":
-                job = self._submit(request, journaled=True)
-                return 202, {"id": job.id, "seq": job.seq, "status": job.status}
-            if self.workers == 0:
+            if path == "/score" and self.workers == 0:
                 return 503, {"error": "no workers configured; use POST /jobs"}
-            job = self._submit(request, journaled=False)
-            await self._wait(job)
+            job = self._submit(request, journaled=path == "/jobs")
+            if job is None:
+                return 503, {"error": "the service is shutting down"}
+            if path == "/jobs":
+                return 202, {"id": job.id, "seq": job.seq, "status": job.status}
+            job.done_event.wait()
             if job.status != "done":
                 return 500, {"error": job.error or "scoring failed"}
             return 200, job.result
         return 404, {"error": f"no route for {method} {path}"}
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                parsed = await _read_http_request(reader)
-                if parsed is None:
-                    break
-                method, path, body, keep_alive = parsed
-                if body is None:
-                    status, payload = 413, {"error": "request body too large"}
-                    keep_alive = False
-                else:
-                    status, payload = await self._dispatch(method, path, body)
-                data = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-                reason = {200: "OK", 202: "Accepted"}.get(status, "Error")
-                head = (
-                    f"HTTP/1.1 {status} {reason}\r\n"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-                    "\r\n"
-                )
-                writer.write(head.encode("ascii") + data)
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.bound_port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        async with server:
-            await self._stop_event.wait()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -595,7 +532,11 @@ class ScoringService:
         """Serve until shut down; blocks the calling thread."""
         self._start_workers()
         try:
-            asyncio.run(self._serve())
+            with _Server((self.host, self.port), _Handler) as server:
+                server.service, self._server = self, server
+                self.bound_port = server.server_address[1]
+                self._ready.set()
+                server.serve_forever(poll_interval=0.05)  # shutdown() waits one interval
         finally:
             self._stop_workers()
             if self._tmp is not None:
@@ -612,59 +553,78 @@ class ScoringService:
         return self.bound_port
 
     def stop(self, timeout: float = 60.0) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass  # loop already closed
+        if self._server is not None:
+            self._server.shutdown()  # returns at once if already shut down
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
 
 
-async def _read_http_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Optional[bytes], bool]]:
-    """(method, path, body, keep_alive), or None on EOF/garbage.
+class _Server(http.server.ThreadingHTTPServer):
+    #: stop() does not wait for idle keep-alive connections: their daemon
+    #: threads end when the client hangs up or the read deadline passes.
+    block_on_close = False
+    service: ScoringService
 
-    ``body`` is None when Content-Length exceeds :data:`MAX_BODY_BYTES`
-    (the caller answers 413).  Query strings are stripped; nothing routes
-    on them.
-    """
-    try:
-        line = await reader.readline()
-    except (ConnectionError, OSError):
-        return None
-    if not line:
-        return None
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) < 2:
-        return None
-    method, path = parts[0].upper(), parts[1].split("?", 1)[0]
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if not line:
-            return None
-        text = line.decode("latin-1").strip()
-        if not text:
-            break
-        name, _, value = text.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        return None
-    keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-    if length > MAX_BODY_BYTES:
-        return method, path, None, False
-    body = b""
-    if length > 0:
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """One keep-alive connection: each request goes to ``_dispatch``, and
+    every answer, errors included, is JSON."""
+
+    protocol_version = "HTTP/1.1"
+    #: Head and body go out as two sends; with Nagle on, the client's
+    #: delayed ACK holds every keep-alive answer for ~40 ms.
+    disable_nagle_algorithm = True
+    server: _Server
+
+    def setup(self) -> None:
+        self.timeout = REQUEST_TIMEOUT_S  # read per connection, so tests can patch it
+        super().setup()
+
+    def handle(self) -> None:
         try:
-            body = await reader.readexactly(length)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return None
-    return method, path, body, keep_alive
+            super().handle()
+        except ConnectionError:
+            pass  # the client went away; not worth socketserver's traceback
+
+    def log_message(self, format: str, *args: Any) -> None:
+        pass
+
+    def do_GET(self) -> None:
+        # Chunked bodies are not decoded; every error here closes the connection.
+        length = self.headers.get("Content-Length", "0")
+        if "Transfer-Encoding" in self.headers:
+            return self.send_error(501, "Transfer-Encoding is not supported")
+        if not (length.isascii() and length.isdigit()):
+            return self.send_error(400, f"invalid Content-Length {length!r}")
+        if int(length) > MAX_BODY_BYTES:
+            return self.send_error(413, "request body too large")
+        body = self.rfile.read(int(length))  # handle_one_request closes on TimeoutError
+        if len(body) < int(length):
+            self.close_connection = True  # the client hung up mid-body
+            return
+        path = self.path.split("?", 1)[0]
+        status, payload = self.server.service._dispatch(self.command, path, body)
+        self._reply(status, payload)
+        if (self.command, path) == ("POST", "/shutdown"):
+            self.server.shutdown()  # after the answer; not the serve_forever thread
+
+    do_POST = do_GET
+
+    def send_error(self, code: int, message: Optional[str] = None, explain: Any = None) -> None:
+        # Also http.server's own rejections (400, 414, 431, 501): JSON, then close.
+        self.close_connection = True
+        self._reply(code, {"error": message or self.responses[code][0]})
+
+    def _reply(self, status: int, payload: Any) -> None:
+        data = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
 
 
 # ---------------------------------------------------------------------------

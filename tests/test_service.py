@@ -11,18 +11,23 @@ interpreter backend (``"none"``), so this module needs no compiler.
 """
 
 import contextlib
+import http.client
 import json
 import os
+import socket
+import statistics
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.eval import service as service_module
 from repro.eval.cache import EvalCache
 from repro.eval.dataset import generated_entries
 from repro.eval.mutate import Mutator
 from repro.eval.score import score_dataset
 from repro.eval.service import (
+    MAX_BODY_BYTES,
     JobJournal,
     ScoringService,
     ServiceClient,
@@ -190,6 +195,124 @@ def test_stats_reports_cache_counters(tmp_path):
     counters = stats["cache"]["layers"]["verdict"]
     assert counters["stores"] == 3  # one memo entry per candidate
     assert counters["hits"] >= 3  # the whole second request memo-hits
+
+
+# ---------------------------------------------------------------------------
+# HTTP framing and connections
+# ---------------------------------------------------------------------------
+
+
+def _raw_exchange(port, data):
+    """Send ``data`` on a fresh socket and read until the daemon closes it;
+    returns (status, head, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        received = b""
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass  # closed with request bytes it never read; the answer came first
+    head, _, body = received.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head, json.loads(body)
+
+
+def _post_head(length):
+    return b"POST /score HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n" % length
+
+
+@pytest.mark.parametrize(
+    "data, status",
+    [
+        (_post_head(b"12abc"), 400),
+        (b"GET /" + b"a" * (70 << 10) + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * (70 << 10) + b"\r\n\r\n", 431),
+        (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-Header-%d: v\r\n" % i for i in range(101))
+            + b"\r\n",
+            431,
+        ),
+        (
+            b"POST /score HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+            501,
+        ),
+        (_post_head(b"%d" % (MAX_BODY_BYTES + 1)), 413),
+    ],
+    ids=[
+        "bad-content-length",
+        "long-request-line",
+        "long-header-line",
+        "too-many-headers",
+        "chunked",
+        "too-large",
+    ],
+)
+def test_malformed_framing_gets_json_error_and_close(data, status):
+    """Framing the daemon cannot trust gets a JSON error and a closed
+    connection, and the daemon keeps serving."""
+    with _service() as (service, client):
+        got, head, body = _raw_exchange(service.bound_port, data)
+        assert got == status
+        assert b"Content-Type: application/json" in head
+        assert b"Connection: close" in head
+        assert set(body) == {"error"}
+        assert client.healthz() == {"ok": True}
+
+
+def test_stalled_client_is_disconnected(monkeypatch):
+    """A client that stops mid-body is dropped after the read deadline,
+    and other clients are served meanwhile and afterwards."""
+    monkeypatch.setattr(service_module, "REQUEST_TIMEOUT_S", 0.5)
+    with _service() as (service, client):
+        with socket.create_connection(("127.0.0.1", service.bound_port), timeout=10) as stalled:
+            stalled.sendall(_post_head(b"100") + b'{"candidates": ')
+            assert client.score(_request())["candidates"][0]["verdict"] == "io_equivalent"
+            assert stalled.recv(1024) == b""  # closed without an answer
+        assert client.score(_request())["candidates"][0]["verdict"] == "io_equivalent"
+
+
+def test_keep_alive_and_quiet_shutdown(tmp_path, capfd, caplog):
+    """Requests on one connection are answered on that connection without
+    the ~40 ms Nagle/delayed-ACK stall; clients that hang up early and a
+    stop() with a keep-alive connection open leave no traceback, and
+    that connection is refused work afterwards."""
+    service = ScoringService(port=0, workers=1, backend="none", cache=EvalCache(tmp_path / "cache"))
+    port = service.start_in_thread()
+    body = json.dumps(_request()).encode()
+    try:
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(_post_head(b"100") + b"{")  # hangs up mid-body
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(_post_head(b"%d" % len(body)) + body)  # hangs up before the answer
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        round_trips, sockets = [], []
+        for _ in range(20):
+            started = time.perf_counter()
+            conn.request("POST", "/score", body, {"Content-Type": "application/json"})
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            round_trips.append(time.perf_counter() - started)
+            sockets.append(conn.sock)
+            assert response.status == 200
+            assert payload["candidates"][0]["verdict"] == "io_equivalent"
+        assert all(sock is sockets[0] for sock in sockets)
+        assert statistics.median(round_trips) < 0.020
+        started = time.monotonic()
+        service.stop()  # with ``conn`` still open
+        assert time.monotonic() - started < 10
+        # A request on that connection now is refused: no worker would run it.
+        conn.request("POST", "/score", body, {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 503
+        assert "shutting down" in json.loads(response.read())["error"]
+        conn.close()
+    finally:
+        service.stop()
+    # socketserver prints tracebacks to stderr; asyncio logged them.
+    assert "Traceback" not in capfd.readouterr().err
+    assert "Traceback" not in caplog.text
 
 
 # ---------------------------------------------------------------------------
