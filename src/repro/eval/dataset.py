@@ -349,6 +349,13 @@ def build_entry(
         }
     except Exception as exc:
         raise DatasetError(f"reference {uid} does not compile: {exc}") from exc
+    arity = len(context.param_types())
+    for index, args in enumerate(inputs):
+        if len(args) != arity:
+            raise DatasetError(
+                f"reference {uid}: input #{index} has {len(args)} argument(s), "
+                f"but {name} takes {arity}"
+            )
     reference = [interpreter_observation(context, tuple(args)) for args in inputs]
     for index, obs in enumerate(reference):
         if obs.status == "limit":

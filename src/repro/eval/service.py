@@ -315,13 +315,19 @@ class ScoringService:
                     "request needs either a prebuilt 'entry' or "
                     "'name' + 'reference' + 'inputs'"
                 )
-            if not isinstance(request.get("inputs"), list):
+            inputs = request.get("inputs")
+            if not isinstance(inputs, list) or not all(isinstance(a, list) for a in inputs):
                 raise ServiceError("'inputs' must be a list of argument vectors")
         backend = request.get("backend", self.backend)
         if backend not in ("x86", "arm", "none"):
             raise ServiceError(f"unknown backend {backend!r}")
         if request.get("opt_level", "O0") not in ("O0", "O3"):
             raise ServiceError("opt_level must be 'O0' or 'O3'")
+        run_timeout = request.get("run_timeout", 10.0)
+        # type() rules out bools; NaN fails the comparison, and the bound
+        # catches an infinity and an integer too large for a float.
+        if type(run_timeout) not in (int, float) or not 0 < run_timeout <= sys.float_info.max:
+            raise ServiceError("'run_timeout' must be a finite number of seconds > 0")
 
     def _validate(self, request: Any) -> None:
         if isinstance(request, dict) and "requests" in request:

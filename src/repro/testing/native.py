@@ -35,6 +35,7 @@ a ``long long`` prototype makes the C caller do.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import platform
 import re
@@ -769,6 +770,7 @@ class NativeBatch:
         self.opt_level = opt_level
         self.isa = isa
         self.run_timeout = run_timeout
+        self._timeout_ms = _timer_ms(run_timeout)
         self.entries: List[_BatchEntry] = []
         self._pairs: List[Tuple[int, int]] = []  # flat -> (case, input)
         self._outcomes: Optional[Dict[Tuple[int, int], Tuple[str, Any]]] = None
@@ -1012,7 +1014,7 @@ class NativeBatch:
         self._outcomes = {}
         command = self._exec_prefix + [
             str(self.binary),
-            str(int(self.run_timeout * 1000)),
+            str(self._timeout_ms),
         ]
         try:
             flat = 0
@@ -1136,6 +1138,15 @@ class NativeBatch:
         return self._outcomes[(case_index, input_index)]
 
 
+def _timer_ms(run_timeout: float) -> int:
+    """The fork server's per-pair timer in ms, at least 1: ``setitimer`` arms
+    nothing for a zero interval, so a looping pair would run until the
+    Python-side deadline killed the whole server."""
+    if not 0 < run_timeout < math.inf:  # NaN fails too
+        raise ValueError(f"run_timeout must be a finite number of seconds > 0, got {run_timeout!r}")
+    return max(1, int(run_timeout * 1000))
+
+
 def batch_build_timeout(run_timeout: float, pairs: int) -> float:
     """Deadline for joining one batch's asynchronous toolchain build.
 
@@ -1198,6 +1209,7 @@ class GroupedBatchRunner:
         self.isa = isa
         self.group_cases = group_cases
         self.tag_prefix = tag_prefix
+        _timer_ms(run_timeout)  # refuse a bad budget before any build
         self.run_timeout = run_timeout
         self.cache = cache
         # The group being drained and the one building behind it; either

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.eval.dataset import (
+    DatasetError,
     Observation,
     build_entry,
     classify_observations,
@@ -70,6 +71,14 @@ int accum(int a, int *out) {
     assert second.return_value == 11
     assert second.arg_values[1] == [10]
     assert second.globals["scale"] == 3
+
+
+@pytest.mark.parametrize("inputs", [[(1, 2, 3)], [(1,), ()]])
+def test_build_entry_rejects_input_of_wrong_arity(inputs):
+    """The interpreter would zero-pad or drop the extra arguments while the
+    native leg passes what it is given, so a wrong-arity vector is refused."""
+    with pytest.raises(DatasetError, match="argument"):
+        build_entry("int f(int x) { return x; }", "f", inputs, "t-1", "corpus")
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,19 @@ Skipped automatically on non-x86-64 hosts or when ``as``/``gcc`` is missing.
 """
 
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
 
 from corpus import CORPUS, WIDE_SIGNATURES
 from repro.testing.frontend import CaseContext
-from repro.testing.native import BatchCase, NativeBatch, have_native_toolchain
+from repro.testing.native import (
+    BatchCase,
+    GroupedBatchRunner,
+    NativeBatch,
+    have_native_toolchain,
+)
 from repro.testing.oracle import values_equal
 
 pytestmark = pytest.mark.skipif(
@@ -111,6 +117,26 @@ int prod_div(int a, int b, int c) {
     a, b, c = inputs[0]
     wrapped = ((a * b + 2**31) % 2**32 - 2**31) // c
     assert wrapped != (a * b) // c, "test inputs no longer overflow 32 bits"
+
+
+def test_sub_millisecond_timeout_still_arms_the_timer(workdir):
+    """A budget below 1 ms rounds up to 1 ms: the looping pair times out in
+    the fork server instead of hanging until the server is killed."""
+    source = "int spin(int x) { while (1) { x = x + 1; } return x; }"
+    case = BatchCase(source, "spin", [(1,)])
+    started = time.monotonic()
+    with NativeBatch([case], "O0", workdir, tag="spin", run_timeout=0.0005) as batch:
+        assert batch.outcome(0, 0) == ("limit", "execution timeout")
+    assert time.monotonic() - started < 20.0
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
+def test_non_positive_timeout_is_refused(budget, workdir):
+    case = BatchCase("int f(int x) { return x; }", "f", [(1,)])
+    with pytest.raises(ValueError, match="run_timeout"):
+        NativeBatch([case], "O0", workdir, run_timeout=budget)
+    with pytest.raises(ValueError, match="run_timeout"):
+        GroupedBatchRunner("O0", workdir, run_timeout=budget)
 
 
 def test_shared_initialised_global_links_across_functions(tmp_path):

@@ -64,6 +64,12 @@ def test_native_harness_public_api_surface():
     assert "NativeFunction" not in testing_pkg.__all__
 
 
+def test_in_product_bench_is_gone():
+    # One benchmark: perfbench/ measures from outside the package.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.perf")
+
+
 def test_eval_package_api_surface():
     import repro.eval as eval_pkg
 

@@ -137,10 +137,24 @@ def test_malformed_requests_rejected():
             {"requests": []},  # empty batch
             {"candidates": [{"kind": "oops"}], "name": "f",
              "reference": REFERENCE, "inputs": INPUTS},  # candidate without text
+            _request(inputs=[1, 2]),  # argument vectors must be lists
+            _request(inputs=[[1, 2], "3 4"]),
+            # run_timeout: a finite JSON number > 0 (the fork server cannot
+            # arm a zero timer)
+            _request(run_timeout="abc"),
+            _request(run_timeout="5"),
+            _request(run_timeout=True),
+            _request(run_timeout=None),
+            _request(run_timeout=float("nan")),
+            _request(run_timeout=float("inf")),
+            _request(run_timeout=10**400),
+            _request(run_timeout=0),
+            _request(run_timeout=-1),
         ]:
             with pytest.raises(ServiceError) as excinfo:
                 client.score(bad)
             assert "HTTP 400" in str(excinfo.value)
+        assert client.score(_request(run_timeout=2))["candidates"]
 
 
 def test_unknown_routes_and_jobs():
