@@ -1,45 +1,37 @@
 """Content-addressed artifact & verdict cache: warm starts for ``repro.eval``.
 
-Every ``repro.eval`` entry point used to cold-start the world: ``score``
-regenerated the dataset, rebuilt every reference binary and re-executed
-every candidate from scratch, and the repair search re-judged neighbors
-that were byte-identical to ones already scored in a previous round or
-campaign.  This module is the missing persistence layer — a single
-on-disk store (default ``.repro-cache/``) shared by three cache layers:
+One SQLite file, ``cache.sqlite`` inside the cache dir (default
+``.repro-cache/``), holds every layer the ``repro.eval`` entry points
+reuse instead of recomputing:
 
 * **dataset entries** — built (assembly, reference C, IO-vector) triples
-  and certified candidate sets, keyed by their content, so warm runs load
-  instead of regenerating and recompiling;
-* **compiled artifacts** — emitted candidate assembly and linked batch
-  binaries, keyed by the sha256 of the normalized token stream (or the
-  full generated translation units), the ISA, the opt level and the
-  cache schema version;
+  and certified candidate sets, keyed by their content;
+* **compiled artifacts** — emitted candidate assembly, keyed by the
+  normalized token stream, ISA and opt level, and linked batch binaries
+  (stored as blobs), keyed by their full translation units;
 * **verdict memos** — ``(candidate, reference, substrate) →``
   :class:`~repro.eval.score.CandidateScore` payloads, so one execution
-  fans out to every byte-identical candidate, across rounds, beams and
-  campaigns.
+  serves every byte-identical candidate across rounds, beams and campaigns.
 
 Correctness properties:
 
-* **Self-invalidating keys.**  Every key mixes in
-  :func:`pipeline_fingerprint` — a digest of every ``.py`` file in the
-  ``repro`` package — plus :data:`SCHEMA_VERSION`.  Changing any stage of
-  the pipeline (generator, compiler, interpreter, harness ABI, scorer)
-  changes every key, so a stale cache can never resurrect verdicts the
-  current code would not produce.  ``--no-cache`` and cache-warm runs are
-  byte-identical by construction: a hit returns exactly what the miss
-  path would have computed and stored.
-* **Crash- and race-safe writes.**  Entries are written to a temp file in
-  the cache root and published with :func:`os.replace`, so concurrent
-  ``--jobs`` workers (or parallel CI legs sharing one cache dir) never
-  observe a partial entry; the losing writer of a race simply overwrites
-  the same bytes.
-* **Corruption is a miss, never a crash.**  A truncated, garbage or
-  schema-mismatched entry is quarantined (removed) and counted, and the
-  caller recomputes.
+* **Self-invalidating keys.**  Every key mixes in :data:`SCHEMA_VERSION`
+  and :func:`pipeline_fingerprint`, a digest of every ``.py`` file in the
+  ``repro`` package, so a stale cache can never resurrect verdicts the
+  current code would not produce.  A hit returns exactly what the miss
+  path would have computed and stored, so reports are byte-identical
+  cache-cold, cache-warm and under ``--no-cache``.
+* **Crash- and race-safe writes.**  A put is one autocommitted row in a
+  WAL-mode database: ``--jobs`` workers, daemon threads and parallel CI
+  legs sharing a cache dir never see a partial entry, and racing writers
+  of one key store the same bytes.  Writes are best-effort: a locked,
+  full or read-only store drops the write.
+* **Corruption is a miss, never a crash.**  A row whose envelope does not
+  decode, or names another schema, is deleted, counted ``corrupt`` and
+  read as a miss.  A ``cache.sqlite`` that is not a database is replaced.
 * **Bounded size.**  :meth:`EvalCache.sweep` evicts least-recently-used
-  entries (hits refresh mtime) until the store fits ``max_bytes``;
-  ties are broken by path so eviction order is deterministic.
+  rows (hits refresh ``last_used``; ties go by ``(layer, key)``) until the
+  store fits its cap, then gives the freed pages back to the file system.
 """
 
 from __future__ import annotations
@@ -47,14 +39,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
-import tempfile
+import sqlite3
+import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 #: Bump when any cached payload's shape or meaning changes; part of every
-#: key *and* checked in every stored envelope, so schema-mismatched files
+#: key *and* checked in every stored envelope, so schema-mismatched rows
 #: read as misses even if the key somehow collides.
 SCHEMA_VERSION = 1
 
@@ -64,6 +56,38 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Default size cap applied by the CLI-level eviction sweep.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
+
+#: Page cache per connection, in KiB.  Lookups are point reads by primary
+#: key, so a small cache costs no speed, and every process and daemon
+#: thread holds its own connection.
+PAGE_CACHE_KIB = 64
+
+#: How long a writer waits for another connection's lock before the
+#: (best-effort) operation gives up.
+BUSY_TIMEOUT_S = 30.0
+
+# ``size`` and ``last_used`` precede the value so the sweep reads them
+# without touching a large blob's overflow pages.  auto_vacuum must be set
+# before the table exists to take effect.
+_SETUP = f"""
+PRAGMA auto_vacuum = INCREMENTAL; PRAGMA journal_mode = WAL;
+PRAGMA synchronous = NORMAL; PRAGMA cache_size = -{PAGE_CACHE_KIB};
+CREATE TABLE IF NOT EXISTS entries (layer TEXT NOT NULL, key TEXT NOT NULL,
+    size INTEGER NOT NULL, last_used INTEGER NOT NULL, value BLOB NOT NULL,
+    PRIMARY KEY (layer, key));
+"""
+
+# Every row outside the newest run of rows whose sizes sum to at most the
+# cap: the oldest ``(last_used, layer, key)`` first, one statement.
+_EVICT = """
+DELETE FROM entries WHERE rowid IN (SELECT rowid FROM (
+    SELECT rowid, SUM(size) OVER (ORDER BY last_used DESC, layer DESC, key DESC) AS kept
+    FROM entries) WHERE kept > ?)
+"""
+
+#: Connections inherited across ``fork()``: SQLite forbids touching them
+#: in the child, and closing one counts, so they are kept referenced.
+_inherited: List[threading.local] = []
 
 _fingerprint: Optional[str] = None
 
@@ -123,41 +147,70 @@ def _counter() -> Dict[str, int]:
     return {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
 
 
-def merge_stats(into: Dict[str, Any], other: Dict[str, Any]) -> Dict[str, Any]:
-    """Accumulate one stats summary into another (for ``--jobs`` workers)."""
-    for field in ("hits", "misses", "stores", "corrupt", "evictions"):
-        into[field] = into.get(field, 0) + other.get(field, 0)
-    layers = into.setdefault("layers", {})
-    for layer, counts in other.get("layers", {}).items():
-        target = layers.setdefault(layer, _counter())
-        for field, value in counts.items():
-            target[field] = target.get(field, 0) + value
-    return into
-
-
 class EvalCache:
     """One content-addressed store with named layers.
 
-    A *layer* is a subdirectory (``entry``, ``candidates``, ``asm``,
-    ``bin``, ``score``); a *key* is a hex digest computed by :meth:`key`,
-    which always mixes in the schema version and the pipeline
+    A *layer* names a kind of payload (``entry``, ``candidates``, ``asm``,
+    ``binary``, ``verdict``); a *key* is a hex digest computed by
+    :meth:`key`, which always mixes in the schema version and the pipeline
     fingerprint.  JSON payloads are stored in an envelope that repeats the
-    schema version so corrupted or legacy files are detected on read.
+    schema version so damaged or legacy rows are detected on read; linked
+    binaries are stored as raw blobs.
+
+    The database connection is opened lazily, one per process and thread:
+    pickled copies (``--jobs`` workers) and the daemon's worker threads
+    each open their own.
     """
 
-    #: A ``.tmp-*`` file older than this is considered abandoned (its
-    #: writer crashed before publishing) and is reaped by :meth:`sweep` and
-    #: on open.  Generous enough that a live concurrent writer — whose
-    #: publish window is milliseconds — is never raced.
-    STALE_TMP_SECONDS = 3600.0
-
-    def __init__(self, root: Path, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        self.max_bytes = max_bytes
         self.root.mkdir(parents=True, exist_ok=True)
+        self.path = self.root / "cache.sqlite"
         self.stats: Dict[str, Dict[str, int]] = {}
         self.evictions = 0
-        self._reap_stale_tmp()
+        self._local = threading.local()
+        self._pid = os.getpid()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_local"], state["_pid"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
+        self._pid = os.getpid()
+
+    # -- the connection -------------------------------------------------------
+
+    def _db(self) -> sqlite3.Connection:
+        """This thread's connection, opened on first use."""
+        if self._pid != os.getpid():
+            _inherited.append(self._local)
+            self._local = threading.local()
+            self._pid = os.getpid()
+        db = getattr(self._local, "db", None)
+        if db is None:
+            try:
+                db = self._connect()
+            except sqlite3.DatabaseError as error:
+                if isinstance(error, sqlite3.OperationalError):
+                    raise  # locked or unwritable: the caller's operation fails
+                # Not a database at all: start over with an empty store.
+                for suffix in ("", "-wal", "-shm"):
+                    Path(f"{self.path}{suffix}").unlink(missing_ok=True)
+                db = self._connect()
+            self._local.db = db
+        return db
+
+    def _connect(self) -> sqlite3.Connection:
+        db = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None)
+        try:
+            db.executescript(_SETUP)
+        except BaseException:
+            db.close()
+            raise
+        return db
 
     # -- keys -----------------------------------------------------------------
 
@@ -191,90 +244,54 @@ class EvalCache:
         self.evictions += summary.get("evictions", 0)
 
     def stats_summary(self) -> Dict[str, Any]:
-        summary: Dict[str, Any] = {
-            "hits": 0,
-            "misses": 0,
-            "stores": 0,
-            "corrupt": 0,
-            "evictions": self.evictions,
-            "layers": {},
-        }
+        summary: Dict[str, Any] = dict(_counter(), evictions=self.evictions, layers={})
         for layer, counts in sorted(self.stats.items()):
             summary["layers"][layer] = dict(counts)
             for field in ("hits", "misses", "stores", "corrupt"):
                 summary[field] += counts[field]
         return summary
 
-    # -- paths and atomic publication ----------------------------------------
+    # -- rows -----------------------------------------------------------------
 
-    def _path(self, layer: str, key: str, suffix: str) -> Path:
-        # Two-level fan-out keeps directories small under heavy use.
-        return self.root / layer / key[:2] / f"{key}{suffix}"
-
-    def _publish(self, writer, destination: Path) -> None:
-        """Write via ``writer(tmp_path)`` then atomically rename into place.
-
-        The temp file lives inside the cache root, so the rename never
-        crosses a filesystem boundary; racing writers each publish a
-        complete file and the last rename wins with identical bytes.
-
-        The temp file is removed on *every* failure: OSErrors (disk full,
-        permissions) are swallowed — cache writes are best-effort — while
-        anything else (a writer passed a bad payload, KeyboardInterrupt
-        mid-write) cleans up and propagates.  Previously only OSError
-        cleaned up, so any other exception stranded ``.tmp-*`` files in the
-        root forever, invisible to the LRU sweep.
-        """
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-        os.close(fd)
-        tmp = Path(tmp_name)
+    def _read(self, layer: str, key: str) -> Optional[bytes]:
+        """The stored value (refreshing its recency), or None; counts misses."""
         try:
-            writer(tmp)
-            os.replace(tmp, destination)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
-    def _reap_stale_tmp(self) -> int:
-        """Remove abandoned ``.tmp-*`` files (stranded by a crashed writer
-        of an older code version, or a kill signal no handler could catch).
-        Fresh temp files may belong to a live concurrent writer and are
-        left alone.  Returns the number reaped."""
-        cutoff = time.time() - self.STALE_TMP_SECONDS
-        reaped = 0
+            db = self._db()
+            row = db.execute(
+                "SELECT value FROM entries WHERE layer = ? AND key = ?", (layer, key)
+            ).fetchone()
+        except sqlite3.DatabaseError:
+            row = None
+        if row is None:
+            self._bump(layer, "misses")
+            return None
         try:
-            candidates = list(self.root.glob(".tmp-*"))
-        except OSError:
-            return 0
-        for path in candidates:
-            try:
-                if path.stat().st_mtime <= cutoff:
-                    path.unlink()
-                    reaped += 1
-            except OSError:
-                continue
-        return reaped
-
-    def _quarantine(self, layer: str, path: Path) -> None:
-        """A damaged entry is removed so it cannot fail a second reader."""
-        self._bump(layer, "corrupt")
-        try:
-            path.unlink()
-        except OSError:
+            db.execute(
+                "UPDATE entries SET last_used = ? WHERE layer = ? AND key = ?",
+                (time.time_ns(), layer, key),
+            )
+        except sqlite3.DatabaseError:
             pass
+        return row[0]
+
+    def _write(self, layer: str, key: str, value: bytes) -> None:
+        """Store one row, best-effort: a locked, full or damaged store drops it."""
+        try:
+            self._db().execute(
+                "INSERT OR REPLACE INTO entries (layer, key, size, last_used, value) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (layer, key, len(value), time.time_ns(), value),
+            )
+        except sqlite3.DatabaseError:
+            return
+        self._bump(layer, "stores")
 
     # -- JSON payloads --------------------------------------------------------
 
     def get(self, layer: str, key: str) -> Optional[Any]:
         """The stored payload, or None (miss).  Damage reads as a miss."""
-        path = self._path(layer, key, ".json")
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self._bump(layer, "misses")
+        raw = self._read(layer, key)
+        if raw is None:
             return None
         try:
             envelope = json.loads(raw)
@@ -285,11 +302,15 @@ class EvalCache:
             ):
                 raise ValueError("bad cache envelope")
         except (ValueError, UnicodeDecodeError):
-            self._quarantine(layer, path)
+            # Deleted, so the damage cannot fail a second reader.
+            self._bump(layer, "corrupt")
             self._bump(layer, "misses")
+            try:
+                self._db().execute("DELETE FROM entries WHERE layer = ? AND key = ?", (layer, key))
+            except sqlite3.DatabaseError:
+                pass
             return None
         self._bump(layer, "hits")
-        self._touch(path)
         return envelope["payload"]
 
     def put(self, layer: str, key: str, payload: Any) -> None:
@@ -297,91 +318,69 @@ class EvalCache:
         # Insertion order is part of the payload (e.g. a dataset entry's
         # assembly grid keeps its build order through the JSON round-trip),
         # so no sort_keys here — canonical sorting is for digests only.
-        data = json.dumps(envelope).encode("utf-8")
-        self._publish(lambda tmp: tmp.write_bytes(data), self._path(layer, key, ".json"))
-        self._bump(layer, "stores")
+        self._write(layer, key, json.dumps(envelope).encode("utf-8"))
 
     # -- binary payloads (linked batch/case executables) ----------------------
 
     def get_file(self, layer: str, key: str, destination: Path) -> bool:
-        """Copy a cached binary to ``destination`` (executable); False = miss."""
-        path = self._path(layer, key, ".bin")
+        """Write a cached binary to ``destination`` (executable); False = miss."""
+        blob = self._read(layer, key)
+        if blob is None:
+            return False
         try:
-            shutil.copyfile(path, destination)
+            Path(destination).write_bytes(blob)
             os.chmod(destination, 0o755)
         except OSError:
             self._bump(layer, "misses")
             return False
         self._bump(layer, "hits")
-        self._touch(path)
         return True
 
     def put_file(self, layer: str, key: str, source: Path) -> None:
         try:
-            self._publish(
-                lambda tmp: shutil.copyfile(source, tmp),
-                self._path(layer, key, ".bin"),
-            )
+            blob = Path(source).read_bytes()
         except OSError:
             return
-        self._bump(layer, "stores")
+        self._write(layer, key, blob)
 
     # -- eviction -------------------------------------------------------------
 
-    def _touch(self, path: Path) -> None:
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-
-    def _entries(self) -> List[Tuple[int, str, int, Path]]:
-        """(mtime_ns, path-as-string, size, path) for every stored entry."""
-        out: List[Tuple[int, str, int, Path]] = []
-        for path in self.root.rglob("*"):
-            if not path.is_file() or path.name.startswith(".tmp-"):
-                continue
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            out.append((stat.st_mtime_ns, str(path), stat.st_size, path))
-        return out
-
     def total_bytes(self) -> int:
-        return sum(size for _, _, size, _ in self._entries())
+        """The summed size of every stored value."""
+        try:
+            return self._db().execute("SELECT COALESCE(SUM(size), 0) FROM entries").fetchone()[0]
+        except sqlite3.DatabaseError:
+            return 0
 
     def sweep(self, max_bytes: Optional[int] = None) -> int:
-        """Evict least-recently-used entries until the store fits the cap.
+        """Evict least-recently-used rows until the store fits the cap.
 
-        Entries are removed oldest-mtime first (hits refresh mtime, making
-        this LRU), ties broken by path so the order is deterministic.
-        Returns the number of entries evicted.
+        Rows go oldest ``last_used`` first (hits refresh it, making this
+        LRU), ties broken by ``(layer, key)`` so the order is deterministic,
+        in one transaction; the freed pages are then returned to the file
+        system.  Returns the number of rows evicted.
         """
-        cap = self.max_bytes if max_bytes is None else max_bytes
-        self._reap_stale_tmp()
-        entries = sorted(self._entries())
-        total = sum(size for _, _, size, _ in entries)
-        evicted = 0
-        for _, _, size, path in entries:
-            if total <= cap:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
+        cap = DEFAULT_MAX_BYTES if max_bytes is None else max_bytes
+        if self.total_bytes() <= cap:
+            return 0  # the common case, without the eviction query's sort
+        try:
+            db = self._db()
+            evicted = db.execute(_EVICT, (cap,)).rowcount
+            if evicted:
+                # executescript steps the vacuum to completion; execute()
+                # would free a single page.
+                db.executescript("PRAGMA incremental_vacuum; PRAGMA wal_checkpoint(TRUNCATE);")
+        except sqlite3.DatabaseError:
+            return 0
         self.evictions += evicted
         return evicted
 
 
-def open_cache(
-    cache_dir: Optional[object], max_bytes: int = DEFAULT_MAX_BYTES
-) -> Optional[EvalCache]:
+def open_cache(cache_dir: Optional[object]) -> Optional[EvalCache]:
     """An :class:`EvalCache` at ``cache_dir``, or None when disabled."""
     if cache_dir is None:
         return None
-    return EvalCache(Path(os.fspath(cache_dir)), max_bytes=max_bytes)
+    return EvalCache(Path(os.fspath(cache_dir)))
 
 
 def describe_stats(summary: Dict[str, Any]) -> str:
@@ -427,7 +426,6 @@ __all__ = [
     "cache_from_args",
     "describe_stats",
     "json_digest",
-    "merge_stats",
     "normalize_source",
     "open_cache",
     "pipeline_fingerprint",

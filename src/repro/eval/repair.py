@@ -67,6 +67,7 @@ from repro.eval.score import (
     score_dataset,
     score_entry_sets,
 )
+from repro.testing.native import prepare_fork_harnesses
 
 #: Verdicts that make a scored candidate a repair target.  ``parse_error``
 #: sources cannot be repaired by AST edits and ``compile_error`` candidates
@@ -465,6 +466,7 @@ def repair_campaign(
             needed = sorted({t["entry_uid"] for t in shard})
             portable = [replace(entries_by_uid[uid], context=None) for uid in needed]
             payloads.append((shard, portable, config, cache))
+        prepare_fork_harnesses([config.backend])
         with multiprocessing.Pool(processes=workers) as pool:
             finished = pool.map(_repair_worker, payloads)
         for _, summary in finished:

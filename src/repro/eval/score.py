@@ -685,6 +685,7 @@ def score_dataset(
             for worker in range(workers)
         ]
         payloads = [(shard, sets, cache, score_kwargs) for shard, sets in shards]
+        native.prepare_fork_harnesses([backend])
         with multiprocessing.Pool(processes=workers) as pool:
             worker_results = pool.map(_entries_worker, payloads)
         all_scores: List[Optional[List[CandidateScore]]] = [None] * len(entries)

@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.testing.generator import GeneratedCase, ProgramGenerator
+from repro.testing.native import prepare_fork_harnesses
 from repro.testing.oracle import Oracle, OracleError
 from repro.testing.reduce import oracle_interestingness, reduce_case
 
@@ -240,6 +241,7 @@ def run_campaign(
         return evaluate_cases(working_oracle, config, base_seed, indices)
     shards = [indices[worker::jobs] for worker in range(jobs)]
     payloads = [(config, base_seed, shard) for shard in shards if shard]
+    prepare_fork_harnesses(config.backends)
     with multiprocessing.Pool(processes=len(payloads)) as pool:
         shard_results = pool.map(_campaign_worker, payloads)
     results = [result for shard in shard_results for result in shard]

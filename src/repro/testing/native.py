@@ -576,6 +576,20 @@ def _forkserver_harness_object(isa: str) -> Path:
     return obj
 
 
+def prepare_fork_harnesses(isas: Sequence[str]) -> None:
+    """Compile the fork-server harness now for each of ``isas`` this host
+    can run (other names, such as ``"none"``, are skipped).
+
+    Call it before forking a ``multiprocessing`` pool: the workers then
+    inherit the compiled objects instead of each compiling its own into a
+    temp dir, which would leak, because pool workers exit without running
+    ``atexit``.  The parent's ``atexit`` removes the one shared dir.
+    """
+    for isa in dict.fromkeys(isas):
+        if (isa == "x86" and have_native_toolchain()) or (isa == "arm" and have_arm_toolchain()):
+            _forkserver_harness_object(isa)
+
+
 def _forkserver_ret_kind(return_type: ct.CType) -> int:
     if ct.is_void(return_type):
         return 0

@@ -1,16 +1,21 @@
 """Tests for the persistent eval cache (``repro.eval.cache``).
 
-Pins the ISSUE's acceptance properties: cache-warm runs are byte-identical
-to cache-cold and ``--no-cache`` runs at any ``--jobs`` count, corrupted or
-schema-mismatched entries read as misses (quarantined, never a crash),
-concurrent writers racing one key both succeed and leave one valid entry,
-and the LRU sweep evicts deterministically under a size cap.
+Pins the cache's contract: cache-warm runs are byte-identical to
+cache-cold and ``--no-cache`` runs at any ``--jobs`` count, damaged or
+schema-mismatched rows read as misses (deleted, never a crash), a
+``cache.sqlite`` that is not a database is replaced, concurrent processes
+and threads racing one store all succeed and leave one valid row per key,
+and the LRU sweep evicts deterministically under a size cap and shrinks
+the file.
 """
 
 import json
 import multiprocessing
 import os
-import time
+import sqlite3
+import sys
+import threading
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -21,7 +26,6 @@ from repro.eval.cache import (
     SCHEMA_VERSION,
     describe_stats,
     json_digest,
-    merge_stats,
     normalize_source,
     open_cache,
     pipeline_fingerprint,
@@ -122,7 +126,7 @@ def test_binary_round_trip_is_executable(tmp_path):
     assert os.access(destination, os.X_OK)
 
 
-def test_absorb_and_merge_stats(tmp_path):
+def test_absorb_folds_worker_stats(tmp_path):
     cache = EvalCache(tmp_path)
     cache._bump("verdict", "hits")
     cache.absorb(
@@ -138,9 +142,9 @@ def test_absorb_and_merge_stats(tmp_path):
     assert summary["layers"]["verdict"]["hits"] == 4
     assert summary["layers"]["asm"]["hits"] == 1
     assert summary["evictions"] == 2
-    merged = merge_stats({}, summary)
-    merged = merge_stats(merged, summary)
-    assert merged["hits"] == 2 * summary["hits"]
+    # A second worker's summary accumulates on top of the first.
+    cache.absorb(summary)
+    assert cache.stats_summary()["hits"] == 2 * summary["hits"]
 
 
 def test_open_cache_none_means_disabled(tmp_path):
@@ -156,12 +160,20 @@ def test_open_cache_none_means_disabled(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _stored_paths(cache):
-    return [
-        path
-        for path in cache.root.rglob("*")
-        if path.is_file() and not path.name.startswith(".tmp-")
-    ]
+def _execute(cache, sql, params=()):
+    """Run one committed statement past the cache's own connection."""
+    with closing(sqlite3.connect(cache.path)) as db, db:
+        return db.execute(sql, params).fetchall()
+
+
+def _rows(cache):
+    """Every stored ``(layer, key)``."""
+    return _execute(cache, "SELECT layer, key FROM entries ORDER BY layer, key")
+
+
+def _store_files(root):
+    """The cache dir's files: the database and its WAL companions only."""
+    return sorted(path.name for path in Path(root).rglob("*"))
 
 
 @pytest.mark.parametrize(
@@ -175,14 +187,13 @@ def _stored_paths(cache):
         json.dumps({"schema": SCHEMA_VERSION}).encode(),  # no payload
     ],
 )
-def test_corrupt_entry_is_quarantined_miss(tmp_path, damage):
+def test_corrupt_row_is_deleted_miss(tmp_path, damage):
     cache = EvalCache(tmp_path)
     key = cache.key("damage")
     cache.put("entry", key, {"ok": True})
-    [path] = _stored_paths(cache)
-    path.write_bytes(damage)
+    _execute(cache, "UPDATE entries SET value = ?", (damage,))
     assert cache.get("entry", key) is None  # miss, not an exception
-    assert _stored_paths(cache) == []  # quarantined in place
+    assert _rows(cache) == []  # the damaged row is gone
     summary = cache.stats_summary()
     assert summary["corrupt"] == 1
     assert summary["misses"] == 1
@@ -195,12 +206,23 @@ def test_corruption_in_dataset_layer_recomputes(tmp_path):
     """End-to-end: a corrupted entry payload forces a rebuild, same bytes."""
     cache = EvalCache(tmp_path)
     [entry] = generated_entries(3, 1, max_stmts=5, cache=cache)
-    for path in _stored_paths(cache):
-        path.write_bytes(b"\x00 corrupt \x00")
+    _execute(cache, "UPDATE entries SET value = ?", (b"\x00 corrupt \x00",))
     cache_after = EvalCache(tmp_path)
     [rebuilt] = generated_entries(3, 1, max_stmts=5, cache=cache_after)
     assert rebuilt.to_json() == entry.to_json()
     assert cache_after.stats_summary()["corrupt"] >= 1
+
+
+def test_garbage_database_file_is_replaced(tmp_path):
+    """A ``cache.sqlite`` that is not a database is replaced on open: the
+    first lookup misses and the store works from then on."""
+    (tmp_path / "cache.sqlite").write_bytes(b"\xde\xad not an sqlite file " * 64)
+    cache = EvalCache(tmp_path)
+    key = cache.key("garbage")
+    assert cache.get("entry", key) is None
+    assert cache.stats_summary()["misses"] == 1
+    cache.put("entry", key, {"ok": True})
+    assert EvalCache(tmp_path).get("entry", key) == {"ok": True}
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +251,66 @@ def test_concurrent_writers_one_valid_entry(tmp_path):
         results = pool.map(_race_writer, [(str(tmp_path), key)] * 2)
     assert all(ok for ok, _ in results)
     assert all(corrupt == 0 for _, corrupt in results)
-    # Exactly one published file, valid, and no leaked temp files.
+    # Exactly one row, valid, and nothing in the dir but the database.
     assert cache.get("entry", key) == {"value": "x" * 4096}
-    assert len(_stored_paths(cache)) == 1
-    assert not list(cache.root.glob(".tmp-*"))
+    assert _rows(cache) == [("entry", key)]
+    assert set(_store_files(tmp_path)) <= {"cache.sqlite", "cache.sqlite-wal", "cache.sqlite-shm"}
+
+
+def _pickled_worker(cache):
+    cache.stats = {}
+    got = cache.get("entry", cache.key("from-parent"))
+    cache.put("entry", cache.key("from-worker"), {"by": os.getpid()})
+    return got, cache.stats_summary()
+
+
+def test_pickled_cache_reads_and_writes_in_a_worker(tmp_path):
+    """``--jobs`` workers get pickled copies: each opens its own
+    connection (the parent's is open, and must not cross the fork)."""
+    cache = EvalCache(tmp_path)
+    cache.put("entry", cache.key("from-parent"), {"by": "parent"})
+    with multiprocessing.Pool(processes=1) as pool:
+        [(got, summary)] = pool.map(_pickled_worker, [cache])
+    assert got == {"by": "parent"}
+    assert summary["hits"] == 1 and summary["stores"] == 1
+    written = cache.get("entry", cache.key("from-worker"))
+    assert written is not None and written["by"] != os.getpid()
+    # The parent's own connection still works after the fork.
+    cache.put("entry", cache.key("after"), {"ok": True})
+    assert cache.get("entry", cache.key("after")) == {"ok": True}
+
+
+def test_threads_share_one_cache(tmp_path):
+    """The daemon's worker threads share one ``EvalCache``; each thread
+    gets its own connection and sees every other thread's rows."""
+    cache = EvalCache(tmp_path)
+    errors = []
+
+    def work(thread):
+        try:
+            for index in range(50):
+                key = cache.key("thread", thread, index)
+                cache.put("verdict", key, {"thread": thread, "index": index})
+                assert cache.get("verdict", key) == {"thread": thread, "index": index}
+                cache.put("verdict", cache.key("shared"), {"same": "bytes"})
+        except BaseException as error:  # surfaced on the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(_rows(cache)) == 4 * 50 + 1
+    assert cache.get("verdict", cache.key("thread", 3, 49)) == {"thread": 3, "index": 49}
+    assert cache.get("verdict", cache.key("shared")) == {"same": "bytes"}
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +318,20 @@ def test_concurrent_writers_one_valid_entry(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _size(cache, key):
+    [(size,)] = _execute(cache, "SELECT size FROM entries WHERE key = ?", (key,))
+    return size
+
+
 def test_sweep_evicts_lru_first_deterministically(tmp_path):
-    cache = EvalCache(tmp_path, max_bytes=0)
+    cache = EvalCache(tmp_path)
     keys = [cache.key("evict", index) for index in range(4)]
     for index, key in enumerate(keys):
         cache.put("entry", key, {"index": index, "pad": "p" * 512})
-        path = cache._path("entry", key, ".json")
-        os.utime(path, ns=(1_000_000 + index, 1_000_000 + index))
+        _execute(cache, "UPDATE entries SET last_used = ? WHERE key = ?", (1_000 + index, key))
     # A hit refreshes recency: key 0 becomes the newest entry.
     assert cache.get("entry", keys[0]) is not None
-    survivor_budget = cache._path("entry", keys[0], ".json").stat().st_size
-    evicted = cache.sweep(max_bytes=survivor_budget)
+    evicted = cache.sweep(max_bytes=_size(cache, keys[0]))
     assert evicted == 3
     assert cache.get("entry", keys[0]) is not None
     for key in keys[1:]:
@@ -259,15 +340,16 @@ def test_sweep_evicts_lru_first_deterministically(tmp_path):
 
 
 def test_sweep_tie_break_is_by_path(tmp_path):
+    """Equal ``last_used``: the row with the smallest ``(layer, key)``
+    address goes first."""
     cache = EvalCache(tmp_path)
     keys = [cache.key("tie", index) for index in range(3)]
     for key in keys:
         cache.put("entry", key, {"pad": "p" * 128})
-        os.utime(cache._path("entry", key, ".json"), ns=(5, 5))
-    keep_two = sum(cache._path("entry", key, ".json").stat().st_size for key in keys) - 1
+    _execute(cache, "UPDATE entries SET last_used = 5")
+    keep_two = sum(_size(cache, key) for key in keys) - 1
     assert cache.sweep(max_bytes=keep_two) == 1
-    expected_victim = min(str(cache._path("entry", key, ".json")) for key in keys)
-    assert not Path(expected_victim).exists()
+    assert [key for _, key in _rows(cache)] == sorted(keys)[1:]
 
 
 def test_sweep_under_cap_is_a_no_op(tmp_path):
@@ -275,6 +357,24 @@ def test_sweep_under_cap_is_a_no_op(tmp_path):
     cache.put("entry", cache.key("keep"), {"ok": True})
     assert cache.sweep() == 0
     assert cache.total_bytes() > 0
+
+
+def test_sweep_shrinks_the_file(tmp_path):
+    """Evicted rows give their pages back: the database and its WAL
+    shrink, not just the row count."""
+    cache = EvalCache(tmp_path)
+    blob = tmp_path / "blob.bin"
+    blob.write_bytes(os.urandom(16 * 1024))
+    for index in range(200):
+        cache.put_file("binary", cache.key("blob", index), blob)
+
+    def on_disk():
+        return sum(path.stat().st_size for path in tmp_path.glob("cache.sqlite*"))
+
+    full = on_disk()
+    assert full > 200 * 16 * 1024
+    assert cache.sweep(max_bytes=16 * 1024) == 199
+    assert on_disk() < full / 10
 
 
 # ---------------------------------------------------------------------------
@@ -376,72 +476,3 @@ def test_warm_dataset_build_skips_generation(tmp_path):
     assert summary["layers"]["entry"]["misses"] == 0
     assert summary["layers"]["candidates"]["misses"] == 0
     assert summary["misses"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Temp-file hygiene (the _publish cleanup + stale-reap bugfix)
-# ---------------------------------------------------------------------------
-
-
-def _tmp_files(cache: EvalCache):
-    return sorted(cache.root.glob(".tmp-*"))
-
-
-def test_publish_cleans_tmp_on_writer_exception(tmp_path):
-    """A writer failing with anything (not just OSError) must not strand
-    its temp file; the exception itself still propagates."""
-    cache = EvalCache(tmp_path / "cache")
-
-    def bad_writer(tmp):
-        raise ValueError("boom")
-
-    with pytest.raises(ValueError):
-        cache._publish(bad_writer, cache.root / "layer" / "ab" / "abcd.json")
-    assert _tmp_files(cache) == []
-
-
-def test_publish_swallows_oserror_but_cleans_tmp(tmp_path):
-    """Best-effort semantics for environmental failures: the write is
-    dropped silently, and the temp file is dropped with it."""
-    cache = EvalCache(tmp_path / "cache")
-
-    def disk_full(tmp):
-        raise OSError("no space left on device")
-
-    cache._publish(disk_full, cache.root / "layer" / "ab" / "abcd.json")
-    assert _tmp_files(cache) == []
-
-
-def test_publish_interrupt_cleans_tmp(tmp_path):
-    """KeyboardInterrupt mid-write (the report's original repro) cleans up
-    and propagates — it is not swallowed like an OSError."""
-    cache = EvalCache(tmp_path / "cache")
-
-    def interrupted(tmp):
-        raise KeyboardInterrupt
-
-    with pytest.raises(KeyboardInterrupt):
-        cache._publish(interrupted, cache.root / "layer" / "ab" / "abcd.json")
-    assert _tmp_files(cache) == []
-
-
-def test_stale_tmp_reaped_on_init_and_sweep(tmp_path):
-    """Temp files stranded by an older code version (or SIGKILL) are
-    reaped by cache open and by sweep(); fresh ones — possibly a live
-    concurrent writer's — are left alone."""
-    root = tmp_path / "cache"
-    cache = EvalCache(root)
-    stale = root / ".tmp-stale"
-    fresh = root / ".tmp-fresh"
-    stale.write_bytes(b"dead")
-    fresh.write_bytes(b"alive")
-    old = time.time() - 2 * EvalCache.STALE_TMP_SECONDS
-    os.utime(stale, (old, old))
-
-    reopened = EvalCache(root)
-    assert not stale.exists()
-    assert fresh.exists()
-
-    os.utime(fresh, (old, old))
-    reopened.sweep()
-    assert not fresh.exists()

@@ -8,6 +8,8 @@ reproducer.  Printer/driver regressions the fuzzer originally shook out are
 pinned here too.
 """
 
+import tempfile
+
 import pytest
 
 from repro.compiler import CompileError, compile_function
@@ -15,7 +17,8 @@ from repro.lang import ast_nodes as ast
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import parse_program
 from repro.lang.printer import print_expr
-from repro.testing.fuzz import case_seed, strip_cltd
+from repro.testing import native
+from repro.testing.fuzz import FuzzConfig, case_seed, run_campaign, strip_cltd
 from repro.testing.generator import ProgramGenerator, generate_case
 from repro.testing.irexec import IRExecutor
 from repro.testing.oracle import Oracle, values_equal
@@ -239,6 +242,19 @@ def test_bounded_fuzz_smoke_native():
         case = generate_case(case_seed(11, index), max_stmts=8)
         divergence = oracle.check_case(case.source, case.name, case.inputs)
         assert divergence is None, divergence.describe()
+
+
+@needs_toolchain
+def test_jobs_workers_share_the_parents_fork_harness(tmp_path, monkeypatch):
+    """``--jobs`` pool workers exit without running ``atexit``: a harness
+    dir a worker made itself would leak.  The parent compiles the harness
+    before forking, so at most its own dir exists."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(native, "_harness_objects", {})
+    monkeypatch.setattr(native, "_harness_dir", None)
+    results = run_campaign(FuzzConfig(require_native=True), 0, 4, jobs=2)
+    assert not any(result.failed for result in results)
+    assert len(list(tmp_path.glob("mc_forkserver_*"))) <= 1
 
 
 @needs_toolchain
