@@ -144,7 +144,7 @@ def json_digest(payload: Any) -> str:
 
 
 def _counter() -> Dict[str, int]:
-    return {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
+    return {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0, "dropped": 0}
 
 
 class EvalCache:
@@ -159,7 +159,8 @@ class EvalCache:
 
     The database connection is opened lazily, one per process and thread:
     pickled copies (``--jobs`` workers) and the daemon's worker threads
-    each open their own.
+    each open their own.  The counters are shared by those threads, so
+    they are updated and read under one lock.
     """
 
     def __init__(self, root: Path) -> None:
@@ -170,16 +171,18 @@ class EvalCache:
         self.evictions = 0
         self._local = threading.local()
         self._pid = os.getpid()
+        self._stats_lock = threading.Lock()
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        del state["_local"], state["_pid"]
+        del state["_local"], state["_pid"], state["_stats_lock"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._local = threading.local()
         self._pid = os.getpid()
+        self._stats_lock = threading.Lock()
 
     # -- the connection -------------------------------------------------------
 
@@ -228,7 +231,8 @@ class EvalCache:
     # -- bookkeeping ----------------------------------------------------------
 
     def _bump(self, layer: str, field: str) -> None:
-        self.stats.setdefault(layer, _counter())[field] += 1
+        with self._stats_lock:
+            self.stats.setdefault(layer, _counter())[field] += 1
 
     def absorb(self, summary: Dict[str, Any]) -> None:
         """Fold a worker process's :meth:`stats_summary` into this cache.
@@ -237,18 +241,20 @@ class EvalCache:
         their hit/miss counters come back with their results and are
         accumulated here so the parent's summary covers the whole run.
         """
-        for layer, counts in summary.get("layers", {}).items():
-            target = self.stats.setdefault(layer, _counter())
-            for field in ("hits", "misses", "stores", "corrupt"):
-                target[field] += counts.get(field, 0)
-        self.evictions += summary.get("evictions", 0)
+        with self._stats_lock:
+            for layer, counts in summary.get("layers", {}).items():
+                target = self.stats.setdefault(layer, _counter())
+                for field in target:
+                    target[field] += counts.get(field, 0)
+            self.evictions += summary.get("evictions", 0)
 
     def stats_summary(self) -> Dict[str, Any]:
         summary: Dict[str, Any] = dict(_counter(), evictions=self.evictions, layers={})
-        for layer, counts in sorted(self.stats.items()):
-            summary["layers"][layer] = dict(counts)
-            for field in ("hits", "misses", "stores", "corrupt"):
-                summary[field] += counts[field]
+        with self._stats_lock:
+            for layer, counts in sorted(self.stats.items()):
+                summary["layers"][layer] = dict(counts)
+                for field in counts:
+                    summary[field] += counts[field]
         return summary
 
     # -- rows -----------------------------------------------------------------
@@ -275,7 +281,8 @@ class EvalCache:
         return row[0]
 
     def _write(self, layer: str, key: str, value: bytes) -> None:
-        """Store one row, best-effort: a locked, full or damaged store drops it."""
+        """Store one row, best-effort: a locked, full or damaged store drops
+        it, counted ``dropped``."""
         try:
             self._db().execute(
                 "INSERT OR REPLACE INTO entries (layer, key, size, last_used, value) "
@@ -283,6 +290,7 @@ class EvalCache:
                 (layer, key, len(value), time.time_ns(), value),
             )
         except sqlite3.DatabaseError:
+            self._bump(layer, "dropped")
             return
         self._bump(layer, "stores")
 
@@ -392,7 +400,7 @@ def describe_stats(summary: Dict[str, Any]) -> str:
     line = (
         f"{summary.get('hits', 0)} hits, {summary.get('misses', 0)} misses, "
         f"{summary.get('stores', 0)} stores, {summary.get('corrupt', 0)} corrupt, "
-        f"{summary.get('evictions', 0)} evicted"
+        f"{summary.get('dropped', 0)} dropped, {summary.get('evictions', 0)} evicted"
     )
     return f"{line} [{layers}]" if layers else line
 

@@ -11,8 +11,8 @@ scorer's near-miss verdicts.  Every candidate scored ``io_mismatch``,
   inventory applied *in reverse* plus reducer-style simplifications;
 * scores whole populations of neighbors through the existing
   cross-function :class:`repro.testing.native.NativeBatch` fork-server
-  groups (one toolchain invocation per ~32 attempts, next group compiling
-  while the current one executes);
+  groups (one toolchain invocation per ~32 attempts; the next two groups
+  are staged and compiled while the current one executes);
 * beam-searches on **IO-vector agreement** (the fraction of inputs whose
   observation matches the reference's, from the scorer's per-input diffs),
   ties broken by token edit similarity, until a neighbor scores
@@ -290,7 +290,7 @@ def _run_rounds(
 
     Each round gathers one neighbor chunk per active target and scores all
     of them through one shared ``score_entry_sets`` call —
-    cross-function batch groups with compile-while-execute lookahead,
+    cross-function batch groups built and executed in the background,
     ``lint=False`` so every gate survivor really executes and carries an
     agreement score, and (with ``cache``) the verdict memo skips the
     toolchain entirely for neighbors judged in prior rounds or campaigns.

@@ -18,7 +18,9 @@ from many functions are grouped into shared
 :class:`repro.testing.native.NativeBatch` fork-server builds by
 :class:`repro.testing.native.GroupedBatchRunner` (one toolchain
 invocation per ~32 candidates instead of per candidate or per function),
-the same executor the fuzzing pipeline runs on.  A group whose build
+the same executor the fuzzing pipeline runs on.  Functions are staged as
+the runner pulls them, so the front end runs while earlier groups build
+and execute in the background.  A group whose build
 fails is bisected until the candidate at fault stands alone; only that
 candidate is charged ``compile_error``.  ``--jobs N`` shards functions
 round-robin over worker processes; verdicts depend only on each
@@ -88,14 +90,16 @@ def _token_texts(source: str) -> Optional[Tuple[str, ...]]:
 
 
 def _levenshtein(a: Sequence, b: Sequence) -> int:
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    """Exact token edit distance: Hyyrö's bit-vector Levenshtein.
+
+    The shorter sequence is the pattern; one Python int per vertical
+    delta vector holds a whole column of the DP table, so each item of the
+    longer sequence costs a handful of big-int operations instead of a
+    row of Python-level cell updates.
+    """
     # Mutation-derived candidates differ from their reference in a small
-    # region, so stripping the common prefix/suffix first removes most of
-    # the O(len(a) * len(b)) table (the distance is unchanged: edits only
-    # happen where the sequences differ).
+    # region, so the common prefix/suffix is stripped first (the distance
+    # is unchanged: edits only happen where the sequences differ).
     start = 0
     limit = min(len(a), len(b))
     while start < limit and a[start] == b[start]:
@@ -106,30 +110,31 @@ def _levenshtein(a: Sequence, b: Sequence) -> int:
         end_b -= 1
     a = a[start:end_a]
     b = b[start:end_b]
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for row, item_a in enumerate(a):
-        diagonal = previous[0]
-        value = row + 1
-        current = [value]
-        append = current.append
-        index = 0
-        for item_b in b:
-            index += 1
-            above = previous[index]
-            best = diagonal if item_a == item_b else diagonal + 1
-            if above + 1 < best:
-                best = above + 1
-            if value + 1 < best:
-                best = value + 1
-            value = best
-            append(value)
-            diagonal = above
-        previous = current
-    return previous[-1]
+    match: Dict[Any, int] = {}  # item -> bitmask of its pattern positions
+    for position, item in enumerate(a):
+        match[item] = match.get(item, 0) | (1 << position)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    positive, negative, distance = mask, 0, len(a)
+    for item in b:
+        eq = match.get(item, 0)
+        xv = eq | negative
+        xh = (((eq & positive) + positive) ^ positive) | eq
+        hp = negative | (~(xh | positive) & mask)
+        hn = positive & xh
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = ((hp << 1) | 1) & mask
+        hn = (hn << 1) & mask
+        positive = hn | (~(xv | hp) & mask)
+        negative = hp & xv
+    return distance
 
 
 def edit_similarity(candidate: str, reference: str) -> float:
@@ -441,9 +446,11 @@ def _score_entries(
 
     Natively, gate survivors from *many* functions share one
     :class:`NativeBatch` (up to :data:`EVAL_GROUP_CASES` per group) so
-    the toolchain runs once per group instead of once per function, and the
-    next group's build is launched before the current group is drained.  A
-    group that fails to build or run is bisected by the runner until the
+    the toolchain runs once per group instead of once per function.  The
+    runner pulls entries lazily: each entry is staged (gate + lint) only
+    when the runner asks for its unit, so staging the next groups runs
+    while earlier groups build and execute in the background.  A group
+    that fails to build or run is bisected by the runner until the
     failing candidate stands alone; that candidate alone is charged
     ``compile_error``.
 
@@ -453,11 +460,11 @@ def _score_entries(
     depend on it (artifacts are keyed by tag inside it, and the caller owns
     cleanup).
     """
-    staged = [
-        _stage_candidates(entry, candidates, backend, opt_level, lint, cache)
-        for entry, candidates in zip(entries, candidate_sets)
-    ]
     if backend == "none":
+        staged = [
+            _stage_candidates(entry, candidates, backend, opt_level, lint, cache)
+            for entry, candidates in zip(entries, candidate_sets)
+        ]
         for entry, (scores, survivors) in zip(entries, staged):
             observations = [
                 _interp_observations(context, entry.inputs) for _, context in survivors
@@ -465,18 +472,23 @@ def _score_entries(
             _finalize_scores(entry, scores, survivors, observations)
         return [scores for scores, _ in staged]
 
-    units = [
-        [
-            native.BatchCase(
-                source=context.source,
-                name=entry.name,
-                inputs=[tuple(args) for args in entry.inputs],
-                context=context,
+    staged = []
+
+    def units():
+        for entry, candidates in zip(entries, candidate_sets):
+            scores, survivors = _stage_candidates(
+                entry, candidates, backend, opt_level, lint, cache
             )
-            for _, context in survivors
-        ]
-        for entry, (_, survivors) in zip(entries, staged)
-    ]
+            staged.append((scores, survivors))
+            yield [
+                native.BatchCase(
+                    source=context.source,
+                    name=entry.name,
+                    inputs=[tuple(args) for args in entry.inputs],
+                    context=context,
+                )
+                for _, context in survivors
+            ]
 
     if workdir is not None:
         tmp_ctx: Any = contextlib.nullcontext(str(workdir))
@@ -491,7 +503,7 @@ def _score_entries(
             run_timeout=run_timeout,
             cache=cache,
         ) as runner:
-            for position, outcomes in runner.run(units):
+            for position, outcomes in runner.run(units()):
                 scores, survivors = staged[position]
                 observations = [_native_observations(case) for case in outcomes]
                 _finalize_scores(entries[position], scores, survivors, observations)

@@ -15,10 +15,10 @@ Throughput machinery (all verdict-preserving):
   that ``fork()``s per (case, input) pair, so traps cost a dead child
   instead of a process relaunch and clean pairs never re-exec.
 * **Compile-while-execute pipelining**: native builds are launched
-  asynchronously and joined only when their outcomes are needed, and the
-  batched loop prepares batch N+1 (generate, lower, launch builds) before
-  draining batch N, so the compiler runs under the Python front half and
-  the executing servers.
+  asynchronously, and the batched loop launches batch N's fork servers
+  (file-fed, in the background) and prepares batch N+1 (generate, lower,
+  launch builds, run the reference legs) before collecting batch N, so
+  the compilers and the servers run under the Python front half.
 * **Parallel evaluation**: ``--jobs N`` shards the case indices round-robin
   across N worker processes.  Each case's verdict depends only on its seed,
   so results are aggregated deterministically by case index regardless of
@@ -185,15 +185,19 @@ def iter_batched_results(
 ):
     """Yield each batch's results with one-batch lookahead.
 
-    Batch N+1 is *prepared* (generated, lowered, native builds launched,
-    reference legs run) before batch N is drained, so N+1's compilers run
-    underneath N's native execution — the cross-batch half of the
-    compile-while-execute pipeline.
+    Batch N's fork servers are launched, and batch N+1 is *prepared*
+    (generated, lowered, native builds launched, reference legs run),
+    before batch N's records are collected: N's servers run and N+1's
+    compilers build underneath N+1's Python front half — the cross-batch
+    half of the compile-while-execute pipeline.
     """
     pending: Optional[Tuple[List[int], Any]] = None
     try:
         for start in range(0, len(indices), config.batch_size):
             chunk = list(indices[start : start + config.batch_size])
+            if pending is not None:  # its servers run while this batch is prepared
+                for batch, _ in pending[1].batches.values():
+                    batch.launch()
             cases = [generate(config, base_seed, index) for index in chunk]
             prepared = oracle.prepare_batch(cases)
             if pending is not None:
@@ -211,10 +215,10 @@ def iter_batched_results(
             )
     finally:
         # A consumer that stops early (first divergence) leaves one batch
-        # prepared but never drained; reap its background compilers.
+        # prepared but never collected; reap its compilers and servers.
         if pending is not None:
             for batch, _ in pending[1].batches.values():
-                batch.abandon()
+                batch.close()
 
 
 def _campaign_worker(payload) -> List[CaseResult]:
@@ -450,7 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Sequential: evaluate in chunks so a failure can stop the run early.
         # The batched iterator keeps one batch in flight ahead of the one
         # being drained (its builds compile in the background); stopping
-        # early just abandons that lookahead batch.
+        # early just closes that lookahead batch.
         result_chunks = iter_batched_results(
             oracle, config, args.seed, list(range(args.count))
         )

@@ -3,20 +3,26 @@
 This is the "run the ground truth for real" half of the paper's
 IO-equivalence check.  :class:`NativeBatch` compiles N cases into **one**
 translation unit per (ISA, opt level) and executes them on a **fork
-server**: one persistent process whose control loop reads (case, input)
-requests over a pipe and ``fork()``s per pair.  Each child inherits
-pristine globals through copy-on-write, so trap isolation and state reset
-come for free — a trapping pair kills only its child, and the server keeps
-answering without any re-exec.  The control loop is generic C compiled
-**once per process** into a cached object file; per batch only a small
-table TU (the cases, their globals, and a C call stub for each signature
-too wide for the argument registers) and the concatenated assembly are
-compiled, and the build runs asynchronously so callers can overlap it
-with other work (``ensure_built()`` joins it).  The ARM leg runs the same
-server statically linked under one persistent ``qemu-aarch64`` process.
-A one-case batch is the smallest unit of native execution;
-:class:`GroupedBatchRunner` packs many units into shared batches and
-bisects a group that fails to build down to the case at fault.
+server**: one process whose control loop reads (case, input) request
+lines and ``fork()``s per pair.  Each child inherits pristine globals
+through copy-on-write, so trap isolation and state reset come for free —
+a trapping pair kills only its child, and the server keeps answering
+without any re-exec.  The control loop is generic C compiled **once per
+process** into a cached object file; per batch only a small table TU (the
+cases, their globals, and a C call stub for each signature too wide for
+the argument registers) and the concatenated assembly are compiled.
+
+Builds and execution both run in the background.  The build starts when
+the batch is constructed; :meth:`NativeBatch.launch` joins it and starts
+the server **file-fed**: its stdin is a file holding every request line
+and its stdout a file of records, so it answers all pairs without this
+process driving it, and a server that dies or wedges is restarted on the
+pairs it left unanswered.  The ARM leg runs the same server statically
+linked under one ``qemu-aarch64`` process.  A one-case batch is the
+smallest unit of native execution; :class:`GroupedBatchRunner` packs many
+units into shared batches as a lazy iterable yields them, keeps three
+groups in flight (one executing, two building), and bisects a group that
+fails to build down to the case at fault.
 
 Batching shares one process across cases, so per-case symbols are made
 unique: the entry point and every global are renamed ``__caseN_<name>``
@@ -35,11 +41,11 @@ a ``long long`` prototype makes the C caller do.
 from __future__ import annotations
 
 import atexit
+import collections
 import math
 import os
 import platform
 import re
-import select
 import shutil
 import signal
 import struct
@@ -52,8 +58,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
+    BinaryIO,
     Callable,
+    Deque,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -662,7 +671,8 @@ atexit.register(_kill_live_servers)
 
 
 class _ForkServer:
-    """One persistent harness process and its line-oriented pipe protocol.
+    """One harness process group, fed from a request file and writing an
+    output file.
 
     The process runs in its own session (= its own process group), so
     :meth:`kill` can take down the server *and* any in-flight forked child
@@ -670,48 +680,16 @@ class _ForkServer:
     a plain ``proc.kill()`` would orphan them.
     """
 
-    def __init__(self, command: Sequence[str]) -> None:
+    def __init__(self, command: Sequence[str], stdin: BinaryIO, stdout: BinaryIO) -> None:
         self.proc = subprocess.Popen(
             list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
+            stdin=stdin,
+            stdout=stdout,
             stderr=subprocess.DEVNULL,
-            bufsize=0,
             start_new_session=True,
         )
-        self._buffer = b""
         self._reaped = False
         _live_servers.add(self)
-
-    def send(self, line: str) -> bool:
-        try:
-            assert self.proc.stdin is not None
-            self.proc.stdin.write(line.encode("ascii"))
-            self.proc.stdin.flush()
-            return True
-        except (BrokenPipeError, OSError):
-            return False
-
-    def read_line(self, deadline: float) -> Optional[str]:
-        """Next output line, or None on EOF/deadline (server considered dead)."""
-        assert self.proc.stdout is not None
-        fd = self.proc.stdout.fileno()
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline >= 0:
-                line = self._buffer[:newline]
-                self._buffer = self._buffer[newline + 1 :]
-                return line.decode("utf-8", "replace")
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                return None
-            chunk = os.read(fd, 1 << 16)
-            if not chunk:
-                return None
-            self._buffer += chunk
 
     def kill(self) -> None:
         """SIGKILL the whole server process group and reap the leader.
@@ -737,16 +715,6 @@ class _ForkServer:
         except (OSError, subprocess.TimeoutExpired):
             pass
 
-    def close(self) -> None:
-        try:
-            if self.proc.stdin is not None:
-                self.proc.stdin.close()
-            self.proc.wait(timeout=5)
-        except (OSError, subprocess.TimeoutExpired):
-            pass
-        finally:
-            self.kill()
-
     def __del__(self) -> None:
         try:
             self.kill()
@@ -759,15 +727,24 @@ class NativeBatch:
 
     The binary is the generic control loop linked against a generated
     table: the cases, their globals, and a call stub for each signature
-    too wide for the argument registers.  The server process reads (case,
-    input) requests over stdin, forks, and each child calls its case's
-    stub and dumps the observable state.  Children inherit pristine
-    globals by copy-on-write, so no snapshot or restore is needed, and a
-    trap costs one dead child instead of a process relaunch.  Builds run
-    asynchronously — ``ensure_built()`` joins the compile, and
-    ``outcome()`` calls it implicitly.  A build failure is the whole
-    batch's: :class:`GroupedBatchRunner` bisects it down to the case at
-    fault.
+    too wide for the argument registers.  The server forks per (case,
+    input) request, and each child calls its case's stub and dumps the
+    observable state.  Children inherit pristine globals by copy-on-write,
+    so no snapshot or restore is needed, and a trap costs one dead child
+    instead of a process relaunch.
+
+    Everything runs in the background.  Constructing a batch starts its
+    build (``ensure_built()`` joins it).  :meth:`launch` joins the build
+    and starts the server file-fed: stdin is a file holding every request
+    line, stdout a file next to the binary, so the server answers all
+    pairs while this process does other work.  :meth:`outcome` launches
+    the batch if no caller has, waits for the server and parses its
+    records.  A server that ends with pairs unanswered — killed, or past
+    its deadline of ``run_timeout + PER_PAIR_ALLOWANCE`` per pair still to
+    run plus ``SERVER_GRACE`` — is restarted on the unanswered pairs; a
+    pair it dies on more than ``MAX_PAIR_RETRIES`` times in a row is
+    charged ``limit``.  A build failure is the whole batch's:
+    :class:`GroupedBatchRunner` bisects it down to the case at fault.
     """
 
     def __init__(
@@ -798,6 +775,8 @@ class NativeBatch:
         # Lifecycle state: close() may race an executing thread, so the
         # live server handle is swapped under a lock.
         self._server: Optional[_ForkServer] = None
+        #: (first pair, deadline) of the last server started.
+        self._launched: Optional[Tuple[int, float]] = None
         self._closed = False
         self._lifecycle_lock = threading.Lock()
 
@@ -880,14 +859,6 @@ class NativeBatch:
             self._cache.put_file("binary", self._cache_key, self.binary)
             self._cache_key = None
 
-    def abandon(self) -> None:
-        """Reap a still-running build whose results will never be used."""
-        if self._build_proc is not None:
-            self._build_proc.kill()
-            self._build_proc.communicate()
-            self._build_proc = None
-            self._build_error = BatchExecutionError("batch abandoned")
-
     def close(self) -> None:
         """Release every live child process owned by this batch.
 
@@ -904,7 +875,11 @@ class NativeBatch:
             server, self._server = self._server, None
         if server is not None:
             server.kill()
-        self.abandon()
+        if self._build_proc is not None:
+            self._build_proc.kill()
+            self._build_proc.communicate()
+            self._build_proc = None
+            self._build_error = BatchExecutionError("batch abandoned")
 
     def __enter__(self) -> "NativeBatch":
         return self
@@ -988,130 +963,124 @@ class NativeBatch:
     # -- execution -----------------------------------------------------------
 
     #: Wall-clock allowance per (case, input) pair on top of ``run_timeout``
-    #: in the build deadline (:func:`batch_build_timeout`).  A healthy pair
-    #: runs in microseconds; this exists so a batch of hundreds of pairs
-    #: (or slow qemu-emulated legs) is not held to a single pair's budget.
+    #: in the build deadline (:func:`batch_build_timeout`) and the server
+    #: deadline.  A healthy pair runs in microseconds; this exists so a
+    #: batch of hundreds of pairs (or slow qemu-emulated legs) is not held
+    #: to a single pair's budget.
     PER_PAIR_ALLOWANCE = 0.1
 
-    #: Restarts tolerated per pair before the batch is declared broken.
+    #: Seconds a server may run past its per-pair budget before it is
+    #: taken for wedged, killed and charged as dead.
+    SERVER_GRACE = 30.0
+
+    #: Restarts tolerated per pair before that pair is charged ``limit``.
     MAX_PAIR_RETRIES = 2
 
-    def _execute(self) -> None:
-        if self._failure is not None:
-            raise self._failure
-        if self._outcomes is not None:
-            return
-        if self._closed:
-            raise BatchExecutionError("batch closed")
-        try:
-            self.ensure_built()
-        except Exception as exc:
-            self._failure = exc
-            raise
-        self._execute_forkserver()
+    def _file(self, suffix: str) -> Path:
+        """The server's request (``.req``) or output (``.out``) file."""
+        return self.binary.with_name(self.binary.name + suffix)
 
-    def _spawn_server(self, command: Sequence[str]) -> _ForkServer:
-        """Start a fork server registered for close(); raises once closed."""
+    def launch(self) -> None:
+        """Join the build and start the fork server on every pair, in the
+        background.  Idempotent; a failed build (or a closed batch) is
+        kept for :meth:`outcome` to raise."""
+        if self._launched is None and self._failure is None:
+            try:
+                self.ensure_built()
+                self._spawn_server(0)
+            except BATCH_FAILURES as exc:
+                self._failure = exc
+
+    def _spawn_server(self, start: int) -> None:
+        """Start a server, registered for close(), on the pairs from
+        ``start`` on: their request lines are its stdin file."""
+        requests = self._file(".req")
+        requests.write_text("".join(self._requests[start:]))
+        command = self._exec_prefix + [str(self.binary), str(self._timeout_ms)]
         with self._lifecycle_lock:
             if self._closed:
                 raise BatchExecutionError("batch closed")
-            server = _ForkServer(command)
-            self._server = server
-            return server
+            with open(requests, "rb") as stdin, open(self._file(".out"), "wb") as stdout:
+                self._server = _ForkServer(command, stdin, stdout)
+        budget = (self.run_timeout + self.PER_PAIR_ALLOWANCE) * (len(self._pairs) - start)
+        self._launched = (start, time.monotonic() + budget + self.SERVER_GRACE)
 
-    def _drop_server(self) -> Optional[_ForkServer]:
-        with self._lifecycle_lock:
-            server, self._server = self._server, None
-            return server
+    def _execute(self) -> None:
+        if self._outcomes is not None:
+            return
+        self.launch()
+        if self._failure is None:
+            try:
+                self._outcomes = self._collect()
+            except Exception as exc:
+                self._failure = exc
+        if self._failure is not None:
+            raise self._failure
 
-    def _execute_forkserver(self) -> None:
-        self._outcomes = {}
-        command = self._exec_prefix + [
-            str(self.binary),
-            str(self._timeout_ms),
-        ]
-        try:
-            flat = 0
-            retries = 0
-            total = len(self._pairs)
-            while flat < total:
-                server = self._server
-                if server is None:
-                    server = self._spawn_server(command)
-                code, record = self._request_pair(server, flat)
-                if code is None:
-                    # Server died or hung: restart and retry this pair —
-                    # unless close() is what killed it.
-                    self._drop_server()
-                    server.kill()
-                    if self._closed:
-                        self._outcomes = None
-                        self._failure = BatchExecutionError("batch closed")
-                        raise self._failure
-                    retries += 1
-                    if retries > self.MAX_PAIR_RETRIES:
-                        # A pair that kills the server on every attempt
-                        # (e.g. a crash before the response line is
-                        # flushed) is charged to *that pair* as a limit
-                        # outcome; the rest of the batch proceeds on a
-                        # fresh server instead of restarting forever or
-                        # failing the whole batch.
-                        self._outcomes[self._pairs[flat]] = (
-                            "limit",
-                            f"fork server died {retries} times on this pair",
-                        )
-                        flat += 1
-                        retries = 0
-                    continue
-                if code == "0":
-                    self._decode_pair(flat, record)
-                elif code == "timeout":
-                    self._outcomes[self._pairs[flat]] = ("limit", "execution timeout")
-                else:
-                    try:
-                        status = int(code)
-                    except ValueError:
-                        self._outcomes = None
-                        self._failure = BatchExecutionError(
-                            f"fork server rejected pair {flat}: {code}"
-                        )
-                        raise self._failure
-                    self._outcomes[self._pairs[flat]] = (
-                        "trap",
-                        f"exit status {status}",
-                    )
-                flat += 1
-                retries = 0
-        finally:
-            leftover = self._drop_server()
-            if leftover is not None:
-                leftover.close()
-
-    def _request_pair(
-        self, server: _ForkServer, flat: int
-    ) -> Tuple[Optional[str], List[str]]:
-        """Run one pair on the server: (DONE code, record lines).
-
-        A ``None`` code means the server is unusable (EOF, broken pipe, or
-        no response before the deadline) and the caller should restart it.
-        """
-        if not server.send(self._requests[flat]):
-            return None, []
-        # The server enforces the per-pair timeout itself; the deadline
-        # here only guards against the server process itself wedging.
-        deadline = time.monotonic() + self.run_timeout + 30.0
-        record: List[str] = []
+    def _collect(self) -> Dict[Tuple[int, int], Tuple[str, Any]]:
+        """Wait for the server and decode its records, restarting it on
+        the pairs it left unanswered."""
+        outcomes: Dict[Tuple[int, int], Tuple[str, Any]] = {}
+        deaths = 0
         while True:
-            line = server.read_line(deadline)
-            if line is None:
-                return None, []
-            if not line:
-                continue
-            if line.startswith("DONE "):
-                return line[5:], record
-            record.append(line)
+            assert self._launched is not None
+            start, deadline = self._launched
+            server = self._server
+            while server is not None and server.proc.poll() is None:
+                if time.monotonic() >= deadline:
+                    break  # wedged: killed below and charged as a death
+                time.sleep(0.001)
+            with self._lifecycle_lock:
+                server, self._server = self._server, None
+            if server is not None:
+                server.kill()
+            if self._closed:
+                raise BatchExecutionError("batch closed")
+            answered = self._records()
+            for flat, (code, record) in enumerate(answered, start):
+                outcomes[self._pairs[flat]] = self._pair_outcome(flat, code, record)
+            flat = start + len(answered)
+            if flat < len(self._pairs):
+                # The server died (or wedged) on pair ``flat``.  One that
+                # does so on every attempt (e.g. a crash before its
+                # response is flushed) is charged to *that pair*, and the
+                # rest of the batch proceeds on a fresh server.
+                deaths = (0 if answered else deaths) + 1
+                if deaths > self.MAX_PAIR_RETRIES:
+                    outcomes[self._pairs[flat]] = (
+                        "limit",
+                        f"fork server died {deaths} times on this pair",
+                    )
+                    flat, deaths = flat + 1, 0
+            if flat == len(self._pairs):
+                return outcomes
+            self._spawn_server(flat)
 
-    def _decode_pair(self, flat: int, record: List[str]) -> None:
+    def _records(self) -> List[Tuple[str, List[str]]]:
+        """(DONE code, record lines) of every pair the last server
+        answered; an unterminated last line is the in-flight pair's."""
+        answered: List[Tuple[str, List[str]]] = []
+        record: List[str] = []
+        text = self._file(".out").read_bytes().decode("utf-8", "replace")
+        for line in text.split("\n")[:-1]:
+            if line.startswith("DONE "):
+                answered.append((line[5:], record))
+                record = []
+            elif line:
+                record.append(line)
+        return answered
+
+    def _pair_outcome(self, flat: int, code: str, record: List[str]) -> Tuple[str, Any]:
+        if code == "0":
+            return self._decode_pair(flat, record)
+        if code == "timeout":
+            return ("limit", "execution timeout")
+        try:
+            return ("trap", f"exit status {int(code)}")
+        except ValueError:
+            raise BatchExecutionError(f"fork server rejected pair {flat}: {code}") from None
+
+    def _decode_pair(self, flat: int, record: List[str]) -> Tuple[str, Any]:
         case_index, input_index = self._pairs[flat]
         entry = self.entries[case_index]
         return_type = entry.context.return_type()
@@ -1139,11 +1108,7 @@ class NativeBatch:
                 global_values[gname] = _decode_global(
                     data, entry.context.global_type(gname)
                 )
-        assert self._outcomes is not None
-        self._outcomes[(case_index, input_index)] = (
-            "ok",
-            NativeResult(return_value, arg_values, global_values),
-        )
+        return ("ok", NativeResult(return_value, arg_values, global_values))
 
     def outcome(self, case_index: int, input_index: int) -> Tuple[str, Any]:
         """("ok", NativeResult) | ("trap", detail) | ("limit", detail)."""
@@ -1190,22 +1155,35 @@ DEFAULT_GROUP_CASES = 32
 CaseOutcomes = Union[List[Tuple[str, Any]], Exception]
 
 
+#: One packed group: its ``(unit_index, unit)`` members.
+_Group = List[Tuple[int, Sequence[BatchCase]]]
+
+#: A group in the runner's pipeline: members, cases, tag, and the batch
+#: (or the exception its construction raised).
+_LiveGroup = Tuple[_Group, List[BatchCase], str, Union[NativeBatch, Exception]]
+
+
 class GroupedBatchRunner:
-    """Cross-unit :class:`NativeBatch` groups with build/execute overlap.
+    """Cross-unit :class:`NativeBatch` groups, built and run in the background.
 
     A *unit* is a list of :class:`BatchCase` objects that must stay
     together (the eval scorer's unit is one function's gate survivors; the
     repair search's unit is one target's neighbor chunk).  Units are packed
     greedily into shared batches of up to ``group_cases`` cases, so the
-    toolchain runs once per group instead of once per unit, and the next
-    group's build is launched before the current group is drained
-    (constructing a :class:`NativeBatch` starts its build asynchronously).
+    toolchain runs once per group instead of once per unit.
 
-    :meth:`run` yields ``(unit_index, outcomes)`` in unit order, with one
-    :data:`CaseOutcomes` per case of the unit.  A group that fails to build
-    or drain is halved, and each half rebuilt, until the failing case
-    stands alone: that case alone gets its exception, and every other case
-    keeps its outcomes.  Units with no cases are skipped entirely.
+    :meth:`run` takes any iterable of units and pulls it lazily, so the
+    caller's staging of later units overlaps native work: a group's build
+    starts the moment the group is full.  The pipeline is three groups
+    deep — groups 0 and 1 are staged and building, then for each group N
+    the runner launches N's server, stages group N+2 and starts its
+    build, and only then collects N's records.  It yields
+    ``(unit_index, outcomes)`` in unit order, with one
+    :data:`CaseOutcomes` per case of the unit.  A group that fails to
+    build or drain is halved, and each half rebuilt, until the failing
+    case stands alone: that case alone gets its exception, and every
+    other case keeps its outcomes.  Units with no cases are skipped
+    entirely.
     """
 
     def __init__(
@@ -1226,28 +1204,28 @@ class GroupedBatchRunner:
         _timer_ms(run_timeout)  # refuse a bad budget before any build
         self.run_timeout = run_timeout
         self.cache = cache
-        # The group being drained and the one building behind it; either
-        # may hold the exception its construction raised instead.
-        self._current: Union[NativeBatch, Exception, None] = None
-        self._next: Union[NativeBatch, Exception, None] = None
+        #: The live groups, oldest first, at most three.
+        self._live: Deque[_LiveGroup] = collections.deque()
 
-    def _pack(self, units: Sequence[Sequence[BatchCase]]) -> List[List[int]]:
+    def _pack(self, units: Iterable[Sequence[BatchCase]]) -> Iterator[_Group]:
         """Whole units, packed greedily up to the group cap (a unit larger
-        than the cap gets a group of its own)."""
-        groups: List[List[int]] = []
-        current: List[int] = []
-        current_size = 0
+        than the cap gets a group of its own); each group is yielded as
+        soon as no further unit can join it."""
+        group: _Group = []
+        size = 0
         for index, unit in enumerate(units):
             if not unit:
                 continue
-            if current and current_size + len(unit) > self.group_cases:
-                groups.append(current)
-                current, current_size = [], 0
-            current.append(index)
-            current_size += len(unit)
-        if current:
-            groups.append(current)
-        return groups
+            if group and size + len(unit) > self.group_cases:
+                yield group
+                group, size = [], 0
+            group.append((index, unit))
+            size += len(unit)
+            if size >= self.group_cases:
+                yield group
+                group, size = [], 0
+        if group:
+            yield group
 
     def _make_batch(
         self, cases: Sequence[BatchCase], tag: str
@@ -1298,16 +1276,16 @@ class GroupedBatchRunner:
         return outcomes
 
     def close(self) -> None:
-        """Kill/reap the current group's server and the lookahead build.
+        """Kill/reap every live group's server and build.
 
         Called from the generator's ``finally`` (so an interrupted consumer
         leaks nothing) and usable directly — the runner is a context
         manager for callers that keep one alive across requests.
         """
-        for batch in (self._current, self._next):
+        while self._live:
+            batch = self._live.popleft()[3]
             if isinstance(batch, NativeBatch):
                 batch.close()
-        self._current = self._next = None
 
     def __enter__(self) -> "GroupedBatchRunner":
         return self
@@ -1316,39 +1294,37 @@ class GroupedBatchRunner:
         self.close()
 
     def run(
-        self, units: Sequence[Sequence[BatchCase]]
+        self, units: Iterable[Sequence[BatchCase]]
     ) -> Iterator[Tuple[int, List[CaseOutcomes]]]:
-        groups = self._pack(units)
+        groups = enumerate(self._pack(units))
 
-        def group_cases(group_index: int) -> List[BatchCase]:
-            return [case for index in groups[group_index] for case in units[index]]
+        def stage() -> None:
+            """Pull the next group's units and start its build."""
+            packed = next(groups, None)
+            if packed is not None:
+                group_index, group = packed
+                cases = [case for _, unit in group for case in unit]
+                tag = f"{self.tag_prefix}{group_index}"
+                self._live.append((group, cases, tag, self._make_batch(cases, tag)))
 
-        def tag(group_index: int) -> str:
-            return f"{self.tag_prefix}{group_index}"
-
-        # One group of lookahead: group N+1 compiles while N executes.
-        # Both live batches are tracked on the runner so that close() — or
+        # Every live batch is tracked on the runner so that close() — or
         # this generator's own finally, which runs on GeneratorExit when
         # the consumer breaks out or an interrupt unwinds it — kills their
         # fork servers and reaps their builds instead of leaking them.
-        self._next = self._make_batch(group_cases(0), tag(0)) if groups else None
         try:
-            for group_index, unit_indices in enumerate(groups):
-                self._current, self._next = self._next, (
-                    self._make_batch(group_cases(group_index + 1), tag(group_index + 1))
-                    if group_index + 1 < len(groups)
-                    else None
-                )
-                assert self._current is not None
-                outcomes = self._drain(
-                    self._current, group_cases(group_index), tag(group_index)
-                )
+            stage()
+            stage()
+            while self._live:
+                group, cases, tag, batch = self._live[0]
+                if isinstance(batch, NativeBatch):
+                    batch.launch()
+                stage()
+                outcomes = self._drain(batch, cases, tag)
+                self._live.popleft()
                 cursor = 0
-                for unit_index in unit_indices:
-                    size = len(units[unit_index])
-                    yield unit_index, outcomes[cursor : cursor + size]
-                    cursor += size
-                self._current = None
+                for unit_index, unit in group:
+                    yield unit_index, outcomes[cursor : cursor + len(unit)]
+                    cursor += len(unit)
         finally:
             self.close()
 

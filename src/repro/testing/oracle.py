@@ -597,9 +597,10 @@ class Oracle:
         return legs
 
     def finish_batch(self, prepared: PreparedBatch) -> List[CaseVerdict]:
-        """Back half of :meth:`check_batch`: join the native builds, stream
-        every (case, input) pair through the fork servers, compare, and
-        run the sanitizer leg over the still-clean cases."""
+        """Back half of :meth:`check_batch`: collect every (case, input)
+        pair's record from the fork servers (launching any not yet
+        launched), compare, and run the sanitizer leg over the still-clean
+        cases."""
         cases = prepared.cases
         contexts = prepared.contexts
         verdicts = prepared.verdicts

@@ -2,12 +2,14 @@
 
 ``NativeBatch`` is the only native executor.  This module pins what it
 promises on its own: a trapping pair does not eat later pairs, globals
-start pristine for every pair, a killed server costs a restart, a pair
-that kills it every time is charged alone, builds get a deadline scaled to
-the batch, ``close()`` reaps the whole process group, and a group that
-fails to build is bisected until only the case at fault is charged.  It
-also pins that verdicts do not depend on how cases are batched
-(``Oracle.check_case`` is a batch of one) or sharded (``--jobs N``).
+start pristine for every pair, a killed server costs a restart on the
+pairs it left unanswered, a pair that kills it every time is charged
+alone, builds get a deadline scaled to the batch, ``close()`` reaps the
+whole process group, the grouped runner pulls its units lazily with at
+most three batches live, and a group that fails to build is bisected
+until only the case at fault is charged.  It also pins that verdicts do
+not depend on how cases are batched (``Oracle.check_case`` is a batch of
+one) or sharded (``--jobs N``).
 """
 
 from dataclasses import dataclass
@@ -161,33 +163,52 @@ int bump(int k) {
 # ---------------------------------------------------------------------------
 
 
+def _keep_records(output, pairs: int) -> None:
+    """Cut a server's output file after its first ``pairs`` answered pairs
+    (fewer if it answered fewer): the batch then reads a server that died
+    on the next pair."""
+    data = output.read_bytes()
+    cut = 0
+    for _ in range(pairs):
+        done = data.find(b"\nDONE ", cut)
+        if done < 0:
+            break
+        cut = data.index(b"\n", done + 1) + 1
+    output.write_bytes(data[:cut])
+
+
+_DEATH_CASES = [
+    _Case("int f(int a) {\n    return a + 10;\n}\n", "f", [(1,), (2,), (3,)]),
+    _Case("int g(int a) {\n    return a * a;\n}\n", "g", [(4,), (5,)]),
+]
+
+
 @needs_toolchain
 def test_forkserver_recovers_from_killed_server(monkeypatch):
-    """Killing the persistent server mid-batch must cost nothing but a
-    restart: every pair still gets its correct outcome."""
+    """Killing the server mid-batch must cost nothing but a restart on the
+    unanswered pairs: every pair still gets its correct outcome."""
+    import os
+    import signal
     import tempfile
     from pathlib import Path
 
     from repro.testing import native as native_mod
 
-    cases = [
-        _Case("int f(int a) {\n    return a + 10;\n}\n", "f", [(1,), (2,), (3,)]),
-        _Case("int g(int a) {\n    return a * a;\n}\n", "g", [(4,), (5,)]),
-    ]
-    original_send = native_mod._ForkServer.send
-    calls = {"count": 0}
+    original_spawn = native_mod.NativeBatch._spawn_server
+    starts = []
 
-    def killing_send(self, line):
-        calls["count"] += 1
-        if calls["count"] == 3:  # mid-batch: pairs 1-2 served, pair 3 pending
-            self.proc.kill()
-            self.proc.wait()
-        return original_send(self, line)
+    def killing_spawn(self, start):
+        original_spawn(self, start)
+        starts.append(start)
+        if len(starts) == 1:  # SIGKILL the first server; at most 2 pairs served
+            os.killpg(self._server.proc.pid, signal.SIGKILL)
+            self._server.proc.wait()
+            _keep_records(self._file(".out"), 2)
 
-    monkeypatch.setattr(native_mod._ForkServer, "send", killing_send)
+    monkeypatch.setattr(native_mod.NativeBatch, "_spawn_server", killing_spawn)
     with tempfile.TemporaryDirectory() as tmp:
         batch = NativeBatch(
-            [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
+            [BatchCase(c.source, c.name, list(c.inputs)) for c in _DEATH_CASES],
             "O0",
             Path(tmp),
         )
@@ -195,7 +216,7 @@ def test_forkserver_recovers_from_killed_server(monkeypatch):
         for (case_index, input_index), value in expected.items():
             status, result = batch.outcome(case_index, input_index)
             assert status == "ok" and result.return_value == value
-    assert calls["count"] > 3, "the killed request was never retried"
+    assert len(starts) == 2 and starts[0] == 0, "the killed server was never restarted"
 
 
 @needs_toolchain
@@ -208,31 +229,24 @@ def test_forkserver_charges_pair_that_kills_server_every_time(monkeypatch):
 
     from repro.testing import native as native_mod
 
-    cases = [
-        _Case("int f(int a) {\n    return a + 10;\n}\n", "f", [(1,), (2,), (3,)]),
-        _Case("int g(int a) {\n    return a * a;\n}\n", "g", [(4,), (5,)]),
-    ]
-    original_send = native_mod._ForkServer.send
-    poison = {"line": None, "deaths": 0}
+    original_spawn = native_mod.NativeBatch._spawn_server
+    poison = {"pair": 1, "deaths": 0}
 
-    def killing_send(self, line):
-        if poison["line"] is not None and line == poison["line"]:
+    def dying_spawn(self, start):
+        original_spawn(self, start)
+        if start <= poison["pair"]:  # the server dies on the poison pair
+            self._server.proc.wait()
+            _keep_records(self._file(".out"), poison["pair"] - start)
             poison["deaths"] += 1
-            self.proc.kill()
-            self.proc.wait()
-        return original_send(self, line)
 
-    monkeypatch.setattr(native_mod._ForkServer, "send", killing_send)
+    monkeypatch.setattr(native_mod.NativeBatch, "_spawn_server", dying_spawn)
     with tempfile.TemporaryDirectory() as tmp:
         batch = NativeBatch(
-            [BatchCase(c.source, c.name, list(c.inputs)) for c in cases],
+            [BatchCase(c.source, c.name, list(c.inputs)) for c in _DEATH_CASES],
             "O0",
             Path(tmp),
         )
-        # Execution is lazy: the request table exists before any pair runs,
-        # so the poison can target pair (0, 1) deterministically.
-        poison["line"] = batch._requests[1]
-        status, detail = batch.outcome(0, 1)
+        status, detail = batch.outcome(0, 1)  # flat pair 1
         assert status == "limit"
         assert "fork server died 3 times" in detail
         expected = {(0, 0): 11, (0, 2): 13, (1, 0): 16, (1, 1): 25}
@@ -375,7 +389,8 @@ def _pid_alive(pid: int) -> bool:
 @needs_toolchain
 def test_grouped_runner_context_manager_closes_batches():
     """Abandoning a GroupedBatchRunner mid-iteration (the generator is
-    dropped, GeneratorExit fires) must close both in-flight batches."""
+    dropped, GeneratorExit fires) must close every live batch: the two
+    building behind the group just yielded."""
     import tempfile
     from pathlib import Path
 
@@ -389,9 +404,137 @@ def test_grouped_runner_context_manager_closes_batches():
         with GroupedBatchRunner("O0", Path(tmp), group_cases=1) as runner:
             iterator = runner.run(units)
             next(iterator)
-            assert runner._current is not None
+            live = [group[3] for group in runner._live]
+            assert [batch.binary.name for batch in live] == ["evalg1_x86_O0", "evalg2_x86_O0"]
             iterator.close()  # GeneratorExit -> finally -> close()
-            assert runner._current is None and runner._next is None
+            assert not runner._live
+            assert all(batch._closed for batch in live)
+
+
+def _runner_units(sizes):
+    """One unit per size, each case a distinct function ``u<unit>c<case>``."""
+    return [
+        [
+            BatchCase(
+                f"int u{u}c{c}(int a) {{ return a * {u + 2} + {c}; }}",
+                f"u{u}c{c}",
+                [(1,), (7,)],
+            )
+            for c in range(size)
+        ]
+        for u, size in enumerate(sizes)
+    ]
+
+
+def _plain(results):
+    return [
+        (unit, [[(status, result.return_value) for status, result in case] for case in cases])
+        for unit, cases in results
+    ]
+
+
+#: Unit sizes and their packing at a cap of 3 cases per group.
+_SIZES = [1, 1, 2, 1, 3, 0, 1, 1, 2]
+_GROUPS = [[0, 1], [2, 3], [4], [6, 7], [8]]
+
+
+@needs_toolchain
+def test_grouped_runner_pulls_units_lazily_three_groups_deep():
+    """The runner pulls a generator of units as it packs them: group k's
+    build starts before any unit of group k+2 is staged, and no more than
+    three batches are ever live."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.testing.native import GroupedBatchRunner
+
+    units = _runner_units(_SIZES)
+    events = []
+    with tempfile.TemporaryDirectory() as tmp:
+        with GroupedBatchRunner("O0", Path(tmp), group_cases=3) as runner:
+            make_batch = runner._make_batch
+
+            def counting_make_batch(cases, tag):
+                assert len(runner._live) <= 2, "a fourth live batch"
+                events.append(("build", tag))
+                return make_batch(cases, tag)
+
+            runner._make_batch = counting_make_batch
+
+            def staged():
+                for index, unit in enumerate(units):
+                    events.append(("stage", index))
+                    assert len(runner._live) <= 3
+                    yield unit
+
+            results = list(runner.run(staged()))
+
+    assert [unit for unit, _ in results] == [i for i, size in enumerate(_SIZES) if size]
+    assert [tag for kind, tag in events if kind == "build"] == [
+        f"evalg{k}" for k in range(len(_GROUPS))
+    ]
+    for k in range(len(_GROUPS) - 2):
+        built = events.index(("build", f"evalg{k}"))
+        assert all(built < events.index(("stage", u)) for u in _GROUPS[k + 2]), (k, events)
+    for unit, cases in _plain(results):
+        for c, case in enumerate(cases):
+            assert case == [("ok", (unit + 2) + c), ("ok", 7 * (unit + 2) + c)]
+
+
+@needs_toolchain
+def test_grouped_runner_generator_matches_list():
+    """Outcomes do not depend on whether units arrive as a list or lazily."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.testing.native import GroupedBatchRunner
+
+    outcomes = []
+    for make in (list, iter):
+        with tempfile.TemporaryDirectory() as tmp:
+            with GroupedBatchRunner("O0", Path(tmp), group_cases=3) as runner:
+                outcomes.append(_plain(runner.run(make(_runner_units(_SIZES)))))
+    assert outcomes[0] == outcomes[1]
+
+
+@needs_toolchain
+def test_grouped_runner_close_mid_iteration_leaves_no_process(monkeypatch):
+    """Closing the runner between yields leaves no live process in the
+    group of any fork server it launched, and reaps the builds behind."""
+    import os
+    import tempfile
+    from pathlib import Path
+
+    from repro.testing import native as native_mod
+
+    original_spawn = native_mod.NativeBatch._spawn_server
+    pgids = []
+
+    def recording_spawn(self, start):
+        original_spawn(self, start)
+        pgids.append(self._server.proc.pid)
+
+    monkeypatch.setattr(native_mod.NativeBatch, "_spawn_server", recording_spawn)
+    with tempfile.TemporaryDirectory() as tmp:
+        runner = native_mod.GroupedBatchRunner("O0", Path(tmp), group_cases=2)
+        iterator = runner.run(iter(_runner_units([1] * 8)))
+        next(iterator)
+        next(iterator)
+        next(iterator)  # group 1 launched and drained; groups 2 and 3 live
+        builds = [group[3]._build_proc for group in runner._live]
+        runner.close()
+        assert not runner._live
+    assert pgids, "no fork server was launched"
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            stat = (Path("/proc") / entry / "stat").read_text()
+            if int(stat.rsplit(")", 1)[1].split()[2]) in pgids:
+                members.append(int(entry))
+        except (OSError, ValueError, IndexError):
+            continue
+    assert not [pid for pid in pgids + members if _pid_alive(pid)]
+    assert all(proc is None or proc.returncode is not None for proc in builds)
 
 
 @needs_toolchain

@@ -113,6 +113,49 @@ def test_miss_then_hit_counters(tmp_path):
     assert "verdict 1/2" in describe_stats(summary)
 
 
+def test_counters_are_exact_under_thread_contention(tmp_path):
+    """The daemon's worker threads share one cache's counters: concurrent
+    bumps, each switching threads as often as the interpreter allows,
+    lose no update."""
+    cache = EvalCache(tmp_path)
+    threads, bumps = 4, 20000
+
+    def bump():
+        for _ in range(bumps):
+            cache._bump("verdict", "hits")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=bump) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert cache.stats_summary()["layers"]["verdict"]["hits"] == threads * bumps
+
+
+def test_failed_write_is_counted_dropped_and_never_raises(tmp_path, monkeypatch):
+    """A write the store refuses (disk full) is dropped, counted per layer
+    and in the total, and shown by describe_stats."""
+    cache = EvalCache(tmp_path)
+
+    class FullDisk:
+        def execute(self, *args):
+            raise sqlite3.OperationalError("database or disk is full")
+
+    monkeypatch.setattr(cache, "_db", lambda: FullDisk())
+    cache.put("verdict", cache.key("full"), {"verdict": "io_equivalent"})
+    cache.put_file("binary", cache.key("full"), Path(__file__))
+    summary = cache.stats_summary()
+    assert summary["layers"]["verdict"]["dropped"] == 1
+    assert summary["layers"]["binary"]["dropped"] == 1
+    assert summary["dropped"] == 2 and summary["stores"] == 0
+    assert "2 dropped" in describe_stats(summary)
+
+
 def test_binary_round_trip_is_executable(tmp_path):
     cache = EvalCache(tmp_path / "cache")
     source = tmp_path / "tool.sh"

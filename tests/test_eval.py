@@ -247,6 +247,55 @@ def test_edit_similarity_metric():
     assert edit_similarity(a, "") == 0.0
 
 
+def _reference_levenshtein(a, b):
+    """The textbook O(len(a) * len(b)) dynamic program."""
+    previous = list(range(len(b) + 1))
+    for row, item_a in enumerate(a, 1):
+        current = [row]
+        for column, item_b in enumerate(b, 1):
+            current.append(
+                min(
+                    previous[column] + 1,
+                    current[column - 1] + 1,
+                    previous[column - 1] + (item_a != item_b),
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
+def test_levenshtein_matches_the_plain_dynamic_program():
+    """The bit-parallel distance equals the textbook DP on 10k seeded pairs:
+    small and large alphabets, patterns on both sides of a 64-bit word,
+    shared prefixes/suffixes, and empty, equal and disjoint sequences."""
+    import random
+
+    from repro.eval.score import _levenshtein
+
+    rng = random.Random(20240519)
+    tokens = ["int", "a", "+", "(", ")", ";", "return", "x1", "0", "-", "*", "if"]
+    for trial in range(10000):
+        alphabet = tokens[: rng.randint(1, len(tokens))]
+        longest = 80 if trial % 40 == 0 else 24
+        a = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+        shape = trial % 5
+        if shape == 0:
+            b = a  # equal
+        elif shape == 1:  # disjoint
+            b = tuple(f"other{rng.randint(0, 3)}" for _ in range(rng.randint(0, longest)))
+        elif shape == 2:  # one edited region inside a shared prefix/suffix
+            cut = rng.randint(0, len(a))
+            edit = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
+            b = a[:cut] + edit + a[cut + rng.randint(0, 5) :]
+        else:
+            b = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, longest + 10)))
+        if trial % 50 == 1:
+            a = ()  # empty
+        expected = _reference_levenshtein(a, b)
+        assert _levenshtein(a, b) == expected, (a, b)
+        assert _levenshtein(b, a) == expected, (b, a)
+
+
 # ---------------------------------------------------------------------------
 # Scorer: native path, batch parity, report stability
 # ---------------------------------------------------------------------------

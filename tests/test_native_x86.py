@@ -130,6 +130,52 @@ def test_sub_millisecond_timeout_still_arms_the_timer(workdir):
     assert time.monotonic() - started < 20.0
 
 
+def test_wedged_server_hits_its_deadline_and_is_charged_as_dead(workdir, monkeypatch):
+    """A server that stops answering is killed at its deadline, process
+    group and all, and charged as a death: restarted on the unanswered
+    pairs until the pair it wedges on is charged ``limit``."""
+    import os
+
+    from repro.testing import native as native_mod
+
+    monkeypatch.setattr(NativeBatch, "SERVER_GRACE", 0.2)
+    original_spawn = NativeBatch._spawn_server
+    servers = []
+
+    def recording_spawn(self, start):
+        original_spawn(self, start)
+        servers.append((start, self._server.proc.pid))
+
+    monkeypatch.setattr(NativeBatch, "_spawn_server", recording_spawn)
+    spin = BatchCase("int spin(int x) { while (1) { x = x + 1; } return x; }", "spin", [(1,)])
+    clean = BatchCase("int g(int x) { return x * 3; }", "g", [(2,), (5,)])
+    started = time.monotonic()
+    with NativeBatch([spin, clean], "O0", workdir, tag="wedge", run_timeout=0.05) as batch:
+        batch._timeout_ms = 10**7  # the server's own per-pair timer never fires
+        assert batch.outcome(0, 0) == (
+            "limit",
+            f"fork server died {native_mod.NativeBatch.MAX_PAIR_RETRIES + 1} times on this pair",
+        )
+        assert [batch.outcome(1, i)[1].return_value for i in (0, 1)] == [6, 15]
+    assert time.monotonic() - started < 20.0
+    assert [start for start, _ in servers] == [0, 0, 0, 1]
+    pgids = {pgid for _, pgid in servers}
+    deadline = time.monotonic() + 10.0
+    while True:  # a killed child may take a moment to die; zombies count as dead
+        alive = []
+        for entry in os.listdir("/proc"):
+            try:
+                fields = (Path("/proc") / entry / "stat").read_text().rsplit(")", 1)[1].split()
+            except (OSError, IndexError):
+                continue
+            if int(fields[2]) in pgids and fields[0] != "Z":
+                alive.append(int(entry))
+        if not alive or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert alive == [], f"processes survived their server's deadline: {alive}"
+
+
 @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("inf")])
 def test_non_positive_timeout_is_refused(budget, workdir):
     case = BatchCase("int f(int x) { return x; }", "f", [(1,)])
