@@ -15,8 +15,8 @@ test.  This package adds three static gates that catch broken artifacts
 * :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.lint` — a forward
   interval/definite-assignment dataflow over the typechecked AST flagging
   possible division by zero, oversized shift counts, uninitialised reads
-  and unreachable statements (``python -m repro.analysis.lint``), reused
-  by :mod:`repro.eval.score` as a static pre-filter;
+  and unreachable statements (``python -m repro.analysis.lint``), a
+  standalone check on sources and the generated corpus;
 * :mod:`repro.analysis.sanitize` — UBSan/ASan compilation of the per-batch
   native translation unit with runtime reports parsed and attributed to
   the owning ``__caseN_*`` case.

@@ -11,9 +11,8 @@ A single forward pass per function computes, at every program point:
 * **reachability** — statements after a ``return``/``break``/``continue``
   or under a constant-false condition;
 * **must-execute** — whether the current point runs on *every* call (no
-  enclosing conditional or loop), which is what lets the scorer's
-  pre-filter turn a definite division-by-zero into a verdict without
-  executing anything.
+  enclosing conditional or loop), which is what lets the linter report a
+  definite division-by-zero as a trap on every call.
 
 The analysis is deliberately unsound-free in one direction only: a
 ``definite`` finding (interval exactly ``[0, 0]``) is a proof under the

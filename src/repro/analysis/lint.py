@@ -8,9 +8,8 @@ Severities:
 
 * ``error`` — ``div_by_zero``: the divisor interval is exactly ``[0, 0]``;
   under the dialect's semantics the division *will* trap if it executes.
-  When the finding is also ``must_execute``, every call traps, which is
-  what lets :mod:`repro.eval.score` assign a "trap" verdict without
-  compiling or running the candidate.
+  When the finding is also ``must_execute``, every call traps
+  (:attr:`Finding.predicts_trap`).
 * ``warning`` — ``possible_div_by_zero`` (a bounded divisor range that
   includes zero), ``shift_width`` (count provably outside ``[0, width)``:
   defined here because the dialect masks counts, undefined in C — exactly
@@ -126,8 +125,7 @@ def lint_source(source: str, name: Optional[str] = None) -> List[Finding]:
 
     Raises the parser/lexer errors of invalid source; type errors do not
     block linting (the analysis degrades to TOP where annotations are
-    missing), mirroring how the scorer lints candidates that passed the
-    front-end gate.
+    missing).
     """
     program = parse_program(source)
     checker = TypeChecker(program)

@@ -59,11 +59,12 @@ from repro.eval.cache import (
     cache_from_args,
     describe_stats,
 )
-from repro.eval.dataset import DatasetEntry, generated_entries
-from repro.eval.mutate import Candidate, Mutator, repair_neighbors
+from repro.eval.dataset import DatasetEntry
+from repro.eval.mutate import Candidate, repair_neighbors
 from repro.eval.score import (
     CandidateScore,
     _resolve_backend,
+    fixed_seed_grid,
     score_dataset,
     score_entry_sets,
 )
@@ -290,10 +291,10 @@ def _run_rounds(
 
     Each round gathers one neighbor chunk per active target and scores all
     of them through one shared ``score_entry_sets`` call —
-    cross-function batch groups built and executed in the background,
-    ``lint=False`` so every gate survivor really executes and carries an
-    agreement score, and (with ``cache``) the verdict memo skips the
-    toolchain entirely for neighbors judged in prior rounds or campaigns.
+    cross-function batch groups built and executed in the background (every
+    gate survivor executes, so each carries an agreement score), and (with
+    ``cache``) the verdict memo skips the toolchain entirely for neighbors
+    judged in prior rounds or campaigns.
     ``persist`` (when given) is called after every round.
     """
     while True:
@@ -326,7 +327,6 @@ def _run_rounds(
             cache,
             backend=config.backend,
             opt_level=config.opt_level,
-            lint=False,
             run_timeout=REPAIR_RUN_TIMEOUT,
         )
         for (target, chunk), scores in zip(chunks, all_scores):
@@ -627,21 +627,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache = cache_from_args(args)
     started = time.time()
-    entries = generated_entries(
+    entries, candidate_sets = fixed_seed_grid(
         args.seed,
         args.functions,
+        args.candidates,
         max_stmts=args.max_stmts,
-        isas=("arm",) if backend == "arm" else ("x86",),
-        opt_levels=(args.opt_level,),
+        backend=backend,
+        opt_level=args.opt_level,
         cache=cache,
     )
-    candidate_sets = [
-        Mutator(
-            entry.seed if entry.seed is not None else args.seed,
-            allow_trap_labels=backend != "arm" and args.opt_level == "O0",
-        ).candidates(entry, args.candidates, cache=cache)
-        for entry in entries
-    ]
     built = time.time()
     print(
         f"dataset: {len(entries)} functions x {args.candidates} candidates "

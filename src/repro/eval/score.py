@@ -173,16 +173,9 @@ class CandidateScore:
     kind: str = ""
     label: str = ""
     expected: str = ""
-    #: The UB linter proved every call of this candidate traps (a definite
-    #: division by zero on the must-execute spine).
-    lint_flagged: bool = False
-    #: The verdict above was assigned by the lint pre-filter, without
-    #: compiling or executing the candidate.
-    lint_prefilter: bool = False
     #: Fraction of IO vectors on which the candidate's observation agrees
     #: with the reference's (the repair search's primary score).  ``None``
-    #: when the candidate never executed (front-end failure, build failure
-    #: or lint pre-filter skip).
+    #: when the candidate never executed (front-end or build failure).
     agreement: Optional[float] = None
 
     @property
@@ -198,10 +191,6 @@ class CandidateScore:
         }
         if self.agreement is not None:
             out["agreement"] = self.agreement
-        if self.lint_flagged:
-            out["lint_flagged"] = True
-        if self.lint_prefilter:
-            out["lint_prefilter"] = True
         if self.expected:
             out.update(
                 {
@@ -290,70 +279,33 @@ def _native_observations(
     return [_native_outcome_to_observation(outcome) for outcome in outcomes]
 
 
-def _lint_trap_finding(context: CaseContext, name: str):
-    """The first linter finding proving every call traps, or None.
-
-    Lint failures never block scoring — a candidate the analysis chokes on
-    simply falls through to the execution path.
-    """
-    from repro.analysis.lint import lint_program
-
-    try:
-        findings = lint_program(context.program, name=name)
-    except Exception:
-        return None
-    return next((f for f in findings if f.predicts_trap), None)
-
-
 def _stage_candidates(
     entry: DatasetEntry,
     candidates: Sequence[Candidate],
     backend: str,
     opt_level: str,
-    lint: bool,
     cache: Optional[EvalCache] = None,
 ) -> Tuple[List[CandidateScore], List[Tuple[int, CaseContext]]]:
-    """Front-end gate + lint pre-filter for one candidate set.
+    """Front-end gate for one candidate set.
 
     Returns the (partially filled) score list plus the execution survivors;
     the staging is independent of how survivors later execute.
     """
-    fast_trap_sound = (
-        backend in ("x86", "none")
-        and opt_level == "O0"
-        and len(entry.inputs) > 0
-        and all(obs.status == "ok" for obs in entry.reference)
-    )
     scores: List[CandidateScore] = []
     survivors: List[Tuple[int, CaseContext]] = []
     for index, candidate in enumerate(candidates):
         gate = _front_end_gate(candidate.text, entry.name, backend, opt_level, cache)
         similarity = edit_similarity(candidate.text, entry.source)
-        if isinstance(gate, tuple):
-            verdict, detail = gate
-            scores.append(
-                CandidateScore(
-                    index, verdict, similarity, detail,
-                    candidate.kind, candidate.label, candidate.expected,
-                )
+        # A survivor's verdict and detail are filled in once it has executed.
+        verdict, detail = gate if isinstance(gate, tuple) else ("", "")
+        scores.append(
+            CandidateScore(
+                index, verdict, similarity, detail,
+                candidate.kind, candidate.label, candidate.expected,
             )
-            continue
-        score = CandidateScore(
-            index, "", similarity, "",
-            candidate.kind, candidate.label, candidate.expected,
         )
-        if lint:
-            finding = _lint_trap_finding(gate, entry.name)
-            if finding is not None:
-                score.lint_flagged = True
-                if fast_trap_sound:
-                    score.verdict = "trap"
-                    score.detail = f"lint: {finding.message} [every call traps]"
-                    score.lint_prefilter = True
-                    scores.append(score)
-                    continue
-        scores.append(score)
-        survivors.append((index, gate))
+        if not isinstance(gate, tuple):
+            survivors.append((index, gate))
     return scores, survivors
 
 
@@ -386,7 +338,6 @@ def score_candidates(
     backend: str = "x86",
     opt_level: str = "O0",
     workdir: Optional[Path] = None,
-    lint: bool = True,
     run_timeout: float = 10.0,
     cache: Optional[EvalCache] = None,
 ) -> List[CandidateScore]:
@@ -396,25 +347,12 @@ def score_candidates(
     survivors on the interpreter (the compile gate still emits x86
     assembly).  Natively, the surviving candidates share fork-server
     batches exactly as in :func:`score_dataset`.
-
-    With ``lint`` (default) every gate survivor runs through the UB linter
-    of :mod:`repro.analysis.lint` first.  A candidate the linter *proves*
-    traps on every call (definite division by zero on the must-execute
-    spine) is annotated ``lint_flagged`` — and, when the fast path is
-    sound, receives its ``trap`` verdict without compiling or executing:
-    that requires an all-ok reference (so :func:`classify_observations`
-    would map any candidate trap/limit to ``trap``), at least one input,
-    and a substrate where the dialect's trap semantics hold (``x86``/
-    ``none`` at ``O0`` — AArch64 returns 0 on division by zero and -O3
-    may fold the site away, exactly the cases trap labels are disabled
-    for).
     """
     return _score_entries(
         [entry],
         [candidates],
         backend=backend,
         opt_level=opt_level,
-        lint=lint,
         run_timeout=run_timeout,
         cache=cache,
         workdir=workdir,
@@ -437,7 +375,6 @@ def _score_entries(
     candidate_sets: Sequence[Sequence[Candidate]],
     backend: str = "x86",
     opt_level: str = "O0",
-    lint: bool = True,
     run_timeout: float = 10.0,
     cache: Optional[EvalCache] = None,
     workdir: Optional[Path] = None,
@@ -447,7 +384,7 @@ def _score_entries(
     Natively, gate survivors from *many* functions share one
     :class:`NativeBatch` (up to :data:`EVAL_GROUP_CASES` per group) so
     the toolchain runs once per group instead of once per function.  The
-    runner pulls entries lazily: each entry is staged (gate + lint) only
+    runner pulls entries lazily: each entry is staged (front-end gate) only
     when the runner asks for its unit, so staging the next groups runs
     while earlier groups build and execute in the background.  A group
     that fails to build or run is bisected by the runner until the
@@ -462,7 +399,7 @@ def _score_entries(
     """
     if backend == "none":
         staged = [
-            _stage_candidates(entry, candidates, backend, opt_level, lint, cache)
+            _stage_candidates(entry, candidates, backend, opt_level, cache)
             for entry, candidates in zip(entries, candidate_sets)
         ]
         for entry, (scores, survivors) in zip(entries, staged):
@@ -477,7 +414,7 @@ def _score_entries(
     def units():
         for entry, candidates in zip(entries, candidate_sets):
             scores, survivors = _stage_candidates(
-                entry, candidates, backend, opt_level, lint, cache
+                entry, candidates, backend, opt_level, cache
             )
             staged.append((scores, survivors))
             yield [
@@ -517,7 +454,6 @@ def _verdict_key(
     text: str,
     backend: str,
     opt_level: str,
-    lint: bool,
     run_timeout: float,
 ) -> str:
     """Memo key for one (candidate, reference, substrate) triple.
@@ -539,7 +475,6 @@ def _verdict_key(
         json_digest([obs.to_json() for obs in entry.reference]),
         backend,
         opt_level,
-        str(lint),
         str(run_timeout),
     )
 
@@ -558,8 +493,6 @@ def score_to_payload(score: CandidateScore) -> Dict[str, Any]:
         "similarity": score.similarity,
         "detail": score.detail,
         "agreement": score.agreement,
-        "lint_flagged": score.lint_flagged,
-        "lint_prefilter": score.lint_prefilter,
     }
 
 
@@ -576,8 +509,6 @@ def score_from_payload(
         candidate.kind,
         candidate.label,
         candidate.expected,
-        lint_flagged=bool(payload.get("lint_flagged")),
-        lint_prefilter=bool(payload.get("lint_prefilter")),
         agreement=payload.get("agreement"),
     )
 
@@ -601,13 +532,12 @@ def score_entry_sets(
     to a cold one by construction.
 
     ``kwargs`` are :func:`_score_entries`'s: ``backend``, ``opt_level``,
-    ``lint``, ``run_timeout``, ``workdir``.
+    ``run_timeout``, ``workdir``.
     """
     if cache is None:
         return _score_entries(entries, candidate_sets, **kwargs)
     backend = kwargs.get("backend", "x86")
     opt_level = kwargs.get("opt_level", "O0")
-    lint = kwargs.get("lint", True)
     run_timeout = kwargs.get("run_timeout", 10.0)
 
     memo: Dict[str, Dict[str, Any]] = {}
@@ -618,7 +548,7 @@ def score_entry_sets(
         unique_candidates: List[Candidate] = []
         for candidate in candidates:
             key = _verdict_key(
-                cache, entry, candidate.text, backend, opt_level, lint, run_timeout
+                cache, entry, candidate.text, backend, opt_level, run_timeout
             )
             keys.append(key)
             if key in memo:
@@ -671,7 +601,6 @@ def score_dataset(
     candidate_sets: Sequence[Sequence[Candidate]],
     backend: str = "x86",
     opt_level: str = "O0",
-    lint: bool = True,
     jobs: int = 1,
     cache: Optional[EvalCache] = None,
 ) -> Dict[str, Any]:
@@ -685,7 +614,7 @@ def score_dataset(
     cache — hit/miss statistics accumulate on the cache object instead
     (worker processes ship their counters back for aggregation).
     """
-    score_kwargs = {"backend": backend, "opt_level": opt_level, "lint": lint}
+    score_kwargs = {"backend": backend, "opt_level": opt_level}
     if jobs > 1 and len(entries) > 1:
         workers = min(jobs, len(entries))
         # An entry's cached CaseContext holds interpreter state (closures)
@@ -712,12 +641,7 @@ def score_dataset(
         )
 
     return build_report(
-        entries,
-        candidate_sets,
-        all_scores,
-        backend=backend,
-        opt_level=opt_level,
-        lint=lint,
+        entries, candidate_sets, all_scores, backend=backend, opt_level=opt_level
     )
 
 
@@ -727,7 +651,6 @@ def build_report(
     all_scores: Sequence[Optional[List[CandidateScore]]],
     backend: str = "x86",
     opt_level: str = "O0",
-    lint: bool = True,
 ) -> Dict[str, Any]:
     """The aggregate JSON report for already-computed per-entry scores.
 
@@ -742,30 +665,11 @@ def build_report(
     mismatches: List[Dict[str, Any]] = []
     max_candidates = max((len(c) for c in candidate_sets), default=0)
     topk_hits = [0] * max_candidates
-    # Linter-as-classifier bookkeeping against the certified mutate labels:
-    # the positive class is expected == "trap".
-    lint_flagged = 0
-    lint_prefilter_skips = 0
-    lint_true_positives = 0
-    lint_false_positives = 0
-    labelled_traps = 0
 
     for entry, candidates, scores in zip(entries, candidate_sets, all_scores):
         assert scores is not None
         for score in scores:
             verdict_counts[score.verdict] = verdict_counts.get(score.verdict, 0) + 1
-            if score.lint_flagged:
-                lint_flagged += 1
-            if score.lint_prefilter:
-                lint_prefilter_skips += 1
-            if score.expected:
-                if score.expected == "trap":
-                    labelled_traps += 1
-                if score.lint_flagged:
-                    if score.expected == "trap":
-                        lint_true_positives += 1
-                    else:
-                        lint_false_positives += 1
             if score.expected and not score.matches_expected:
                 mismatches.append(
                     {
@@ -800,27 +704,11 @@ def build_report(
         1 for sets in candidate_sets for candidate in sets if candidate.expected
     )
     agreement = (labelled - len(mismatches)) / labelled if labelled else 1.0
-    predicted = lint_true_positives + lint_false_positives
-    lint_section: Dict[str, Any] = {
-        "enabled": lint,
-        "flagged": lint_flagged,
-        "prefilter_skips": lint_prefilter_skips,
-        "labelled_traps": labelled_traps,
-        "true_positives": lint_true_positives,
-        "false_positives": lint_false_positives,
-        # Precision over the labelled candidates the linter flagged; 1.0
-        # when it flagged none (no claims, no wrong claims).
-        "precision": round(lint_true_positives / predicted, 4) if predicted else 1.0,
-        "recall": round(lint_true_positives / labelled_traps, 4)
-        if labelled_traps
-        else 1.0,
-    }
     return {
         "schema": 1,
         "config": {
             "backend": backend,
             "opt_level": opt_level,
-            "lint": lint,
         },
         "functions": functions,
         "aggregate": {
@@ -828,7 +716,6 @@ def build_report(
             "candidates": total_candidates,
             "verdict_counts": dict(sorted(verdict_counts.items())),
             "ground_truth_agreement": round(agreement, 4),
-            "lint": lint_section,
             "mismatches": mismatches,
             "top1_by_similarity": round(topk_hits[0] / total_functions, 4)
             if total_functions and topk_hits
@@ -841,6 +728,44 @@ def build_report(
             else {},
         },
     }
+
+
+def fixed_seed_grid(
+    seed: int,
+    functions: int,
+    candidates: int,
+    max_stmts: int = 10,
+    backend: str = "x86",
+    opt_level: str = "O0",
+    cache: Optional[EvalCache] = None,
+) -> Tuple[List[DatasetEntry], List[List[Candidate]]]:
+    """The fixed-seed grid the score, repair and ``score-grid`` CLIs judge:
+    ``functions`` generated references and ``candidates`` certified
+    mutants of each.  Returns (entries, candidate sets).
+    """
+    # Scoring never reads the reference assembly grid, so only the ISA/opt
+    # the compile gate uses is materialised (the dataset CLI still builds
+    # the full {x86, arm} x {O0, O3} grid — that is its job).
+    entries = generated_entries(
+        seed,
+        functions,
+        max_stmts=max_stmts,
+        isas=("arm",) if backend == "arm" else ("x86",),
+        opt_levels=(opt_level,),
+        cache=cache,
+    )
+    candidate_sets = [
+        Mutator(
+            entry.seed if entry.seed is not None else seed,
+            # Interpreter-certified trap labels do not transfer everywhere:
+            # AArch64 returns 0 on integer division by zero instead of
+            # faulting, and -O3 DCE can delete a dead trapping division
+            # entirely.  Both substrates get trap-free candidate sets.
+            allow_trap_labels=backend != "arm" and opt_level == "O0",
+        ).candidates(entry, candidates, cache=cache)
+        for entry in entries
+    ]
+    return entries, candidate_sets
 
 
 # ---------------------------------------------------------------------------
@@ -898,12 +823,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "report is byte-identical at any job count (default 1)",
     )
     parser.add_argument(
-        "--no-lint",
-        action="store_true",
-        help="skip the UB-linter pre-filter (on by default: candidates the "
-        "linter proves trap on every call skip compile+execute)",
-    )
-    parser.add_argument(
         "--output", default="eval_report.json", help="where to write the JSON report"
     )
     add_cache_arguments(parser)
@@ -914,28 +833,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     backend = _resolve_backend(args.backend)
     cache = cache_from_args(args)
     started = time.time()
-    # Scoring never reads the reference assembly grid, so only the ISA/opt
-    # the compile gate uses is materialised (the dataset CLI still builds
-    # the full {x86, arm} x {O0, O3} grid — that is its job).
-    entries = generated_entries(
+    entries, candidate_sets = fixed_seed_grid(
         args.seed,
         args.functions,
+        args.candidates,
         max_stmts=args.max_stmts,
-        isas=("arm",) if backend == "arm" else ("x86",),
-        opt_levels=(args.opt_level,),
+        backend=backend,
+        opt_level=args.opt_level,
         cache=cache,
     )
-    candidate_sets = [
-        Mutator(
-            entry.seed if entry.seed is not None else args.seed,
-            # Interpreter-certified trap labels do not transfer everywhere:
-            # AArch64 returns 0 on integer division by zero instead of
-            # faulting, and -O3 DCE can delete a dead trapping division
-            # entirely.  Both substrates get trap-free candidate sets.
-            allow_trap_labels=backend != "arm" and args.opt_level == "O0",
-        ).candidates(entry, args.candidates, cache=cache)
-        for entry in entries
-    ]
     built = time.time()
     print(
         f"dataset: {len(entries)} functions x {args.candidates} candidates "
@@ -948,7 +854,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         candidate_sets,
         backend=backend,
         opt_level=args.opt_level,
-        lint=not args.no_lint,
         jobs=max(1, args.jobs),
         cache=cache,
     )
@@ -969,14 +874,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"  ground-truth agreement: {aggregate['ground_truth_agreement']:.1%} "
         f"({len(aggregate['mismatches'])} mismatches)"
     )
-    lint_section = aggregate["lint"]
-    if lint_section["enabled"]:
-        print(
-            f"  lint pre-filter: {lint_section['flagged']} flagged, "
-            f"{lint_section['prefilter_skips']} execution(s) skipped, "
-            f"precision {lint_section['precision']:.1%} / "
-            f"recall {lint_section['recall']:.1%} vs certified trap labels"
-        )
     print(
         f"  top-1 by similarity: {aggregate['top1_by_similarity']:.1%}; "
         f"any-equivalent@N: "

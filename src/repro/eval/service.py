@@ -40,8 +40,10 @@ Request shape (one scoring unit)::
       "name": "f", "reference": "int f(int a){...}", "inputs": [[1], [2]],
       # Substrate (all optional):
       "backend": "x86" | "arm" | "none", "opt_level": "O0" | "O3",
-      "lint": true, "run_timeout": 10.0
+      "run_timeout": 10.0
     }
+
+Keys the service does not read are ignored.
 
 Determinism
 -----------
@@ -86,13 +88,13 @@ from repro.eval.dataset import (
     DatasetError,
     build_entry,
     entry_from_json,
-    generated_entries,
 )
-from repro.eval.mutate import Candidate, Mutator
+from repro.eval.mutate import Candidate
 from repro.eval.score import (
     CandidateScore,
     _resolve_backend,
     build_report,
+    fixed_seed_grid,
     score_entry_sets,
     score_from_payload,
     score_to_payload,
@@ -344,7 +346,6 @@ class ScoringService:
     ) -> Tuple[DatasetEntry, List[Candidate], Dict[str, Any]]:
         backend = request.get("backend", self.backend)
         opt_level = request.get("opt_level", "O0")
-        lint = bool(request.get("lint", True))
         run_timeout = float(request.get("run_timeout", 10.0))
         candidates: List[Candidate] = []
         for spec in request["candidates"]:
@@ -377,7 +378,6 @@ class ScoringService:
         kwargs = {
             "backend": backend,
             "opt_level": opt_level,
-            "lint": lint,
             "run_timeout": run_timeout,
         }
         return entry, candidates, kwargs
@@ -700,33 +700,26 @@ def build_grid_requests(
     max_stmts: int = 10,
     backend: str = "x86",
     opt_level: str = "O0",
-    lint: bool = True,
     cache: Optional[EvalCache] = None,
 ) -> Tuple[List[DatasetEntry], List[List[Candidate]], List[Dict[str, Any]]]:
     """The score CLI's fixed-seed grid, rendered as ``/score`` requests.
 
-    Entries and candidate sets are built exactly as ``repro.eval.score``'s
-    ``main()`` builds them (same seeds, same trap-label rule), then each
-    entry is serialized as a prebuilt triple so the server re-derives
-    nothing.  Returns (entries, candidate sets, request bodies) — the
-    first two are what :func:`repro.eval.score.build_report` needs to
-    assemble the byte-identical report client-side.
+    Entries and candidate sets come from
+    :func:`repro.eval.score.fixed_seed_grid`, the builder the score CLI
+    uses, then each entry is serialized as a prebuilt triple so the server
+    re-derives nothing.  Returns (entries, candidate sets, request bodies)
+    — the first two are what :func:`repro.eval.score.build_report` needs
+    to assemble the byte-identical report client-side.
     """
-    entries = generated_entries(
+    entries, candidate_sets = fixed_seed_grid(
         seed,
         functions,
+        candidates,
         max_stmts=max_stmts,
-        isas=("arm",) if backend == "arm" else ("x86",),
-        opt_levels=(opt_level,),
+        backend=backend,
+        opt_level=opt_level,
         cache=cache,
     )
-    candidate_sets = [
-        Mutator(
-            entry.seed if entry.seed is not None else seed,
-            allow_trap_labels=backend != "arm" and opt_level == "O0",
-        ).candidates(entry, candidates, cache=cache)
-        for entry in entries
-    ]
     requests = [
         {
             "entry": entry.to_json(),
@@ -741,7 +734,6 @@ def build_grid_requests(
             ],
             "backend": backend,
             "opt_level": opt_level,
-            "lint": lint,
         }
         for entry, candidate_set in zip(entries, candidate_sets)
     ]
@@ -756,7 +748,6 @@ def score_grid_via_service(
     max_stmts: int = 10,
     backend: str = "x86",
     opt_level: str = "O0",
-    lint: bool = True,
     cache: Optional[EvalCache] = None,
 ) -> Dict[str, Any]:
     """Score the fixed-seed grid over HTTP and build the aggregate report.
@@ -773,7 +764,6 @@ def score_grid_via_service(
         max_stmts=max_stmts,
         backend=backend,
         opt_level=opt_level,
-        lint=lint,
         cache=cache,
     )
     all_scores: List[List[CandidateScore]] = []
@@ -792,12 +782,7 @@ def score_grid_via_service(
             ]
         )
     return build_report(
-        entries,
-        candidate_sets,
-        all_scores,
-        backend=backend,
-        opt_level=opt_level,
-        lint=lint,
+        entries, candidate_sets, all_scores, backend=backend, opt_level=opt_level
     )
 
 
@@ -847,7 +832,6 @@ def _score_grid_main(args: argparse.Namespace) -> int:
         max_stmts=args.max_stmts,
         backend=backend,
         opt_level=args.opt_level,
-        lint=not args.no_lint,
         cache=cache,
     )
     elapsed = time.time() - started
@@ -926,7 +910,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--backend", choices=("auto", "x86", "arm", "none"), default="auto"
     )
     grid.add_argument("--opt-level", choices=("O0", "O3"), default="O0")
-    grid.add_argument("--no-lint", action="store_true")
     grid.add_argument("--timeout", type=float, default=600.0)
     grid.add_argument("--output", default="eval_report_service.json")
     add_cache_arguments(grid)

@@ -30,7 +30,6 @@ from repro.compiler import ir
 from repro.compiler.driver import lower_for_backend
 from repro.eval.dataset import generated_entries
 from repro.eval.mutate import Mutator
-from repro.eval.score import score_dataset
 from repro.lang.parser import parse_program
 from repro.testing.fuzz import case_seed, strip_reextension
 from repro.testing.generator import ProgramGenerator
@@ -235,22 +234,6 @@ def test_lint_trap_predictions_match_certified_labels():
                     f"{candidate.expected!r}: {candidate.text}"
                 )
     assert flagged > 0, "no certified trap candidate was ever flagged"
-
-
-def test_score_prefilter_preserves_verdicts():
-    entries = generated_entries(3, 6, max_stmts=8, isas=("x86",), opt_levels=("O0",))
-    candidate_sets = [Mutator(entry.seed).candidates(entry, 4) for entry in entries]
-    with_lint = score_dataset(entries, candidate_sets, backend="none")
-    without = score_dataset(entries, candidate_sets, backend="none", lint=False)
-    assert (
-        with_lint["aggregate"]["verdict_counts"]
-        == without["aggregate"]["verdict_counts"]
-    )
-    assert with_lint["aggregate"]["ground_truth_agreement"] == 1.0
-    lint_section = with_lint["aggregate"]["lint"]
-    assert lint_section["enabled"]
-    assert lint_section["precision"] >= 0.95
-    assert without["aggregate"]["lint"]["flagged"] == 0
 
 
 # ---------------------------------------------------------------------------

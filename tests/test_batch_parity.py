@@ -618,7 +618,6 @@ def test_scorer_charges_compile_error_to_the_unlinkable_candidate_alone(monkeypa
         for f, function in enumerate(clean["functions"])
         for c, candidate in enumerate(function["candidates"])
         if candidate["verdict"] in ("io_equivalent", "io_mismatch", "trap")
-        and not candidate.get("lint_prefilter")
     ]
     target_function, target_candidate = survivors[len(survivors) // 2]
     poisoned_text = sets[target_function][target_candidate].text

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.analysis.lint import lint_source
 from repro.eval.dataset import (
     DatasetError,
     Observation,
@@ -19,7 +20,7 @@ from repro.eval.dataset import (
     classify_observations,
     generated_entries,
 )
-from repro.eval.mutate import Mutator
+from repro.eval.mutate import Candidate, Mutator
 from repro.eval.score import edit_similarity, score_candidates, score_dataset
 from repro.testing.native import have_native_toolchain
 
@@ -198,19 +199,37 @@ def test_scores_carry_io_agreement():
             if score.verdict == "io_equivalent":
                 assert score.agreement == 1.0
             elif score.verdict in ("io_mismatch", "trap"):
-                if score.lint_prefilter:
-                    # The UB linter skipped execution entirely.
-                    assert score.agreement is None
-                else:
-                    # Executed but disagreed somewhere: agreement is a
-                    # proper fraction of the entry's IO vectors.
-                    assert score.agreement is not None
-                    assert 0.0 <= score.agreement < 1.0
+                # Executed but disagreed somewhere: agreement is a proper
+                # fraction of the entry's IO vectors.
+                assert score.agreement is not None
+                assert 0.0 <= score.agreement < 1.0
             elif score.verdict in ("parse_error", "type_error"):
                 # Never executed: no agreement signal, and the report
                 # omits the key rather than inventing a number.
                 assert score.agreement is None
                 assert "agreement" not in score.to_json()
+
+
+@pytest.mark.parametrize("backend", [pytest.param("x86", marks=needs_toolchain), "none"])
+def test_candidate_the_linter_proves_traps_is_executed(backend):
+    """One judge path: a candidate the UB linter proves traps on every call
+    is executed like any other on every substrate, so its verdict and its
+    agreement come from running it, not from a static finding."""
+    text = "int f(int a, int b) { return a / 0; }"
+    assert any(finding.predicts_trap for finding in lint_source(text, name="f"))
+    entry = build_entry(
+        "int f(int a, int b) { return a + b; }",
+        "f",
+        [(1, 2), (3, 4)],
+        uid="lint-trap",
+        origin="test",
+        isas=("x86",),
+        opt_levels=("O0",),
+    )
+    [score] = score_candidates(entry, [Candidate(text, "", "", "")], backend=backend)
+    assert score.verdict == "trap"
+    assert score.agreement == 0.0
+    assert not score.detail.startswith("lint:")
 
 
 def test_jobs_beyond_entry_count_and_empty_dataset():
@@ -335,7 +354,7 @@ def test_every_execution_path_is_byte_identical():
     report = score_dataset(entries, sets, backend="x86")
     sharded = score_dataset(entries, sets, backend="x86", jobs=3)
     assert json.dumps(report) == json.dumps(sharded)
-    assert report["config"] == {"backend": "x86", "opt_level": "O0", "lint": True}
+    assert report["config"] == {"backend": "x86", "opt_level": "O0"}
 
 
 @needs_toolchain
@@ -347,14 +366,13 @@ def test_report_is_stable_under_fixed_seed():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     # Schema pin: downstream consumers (CI artifact, bench) rely on these.
     assert first["schema"] == 1
-    assert set(first["config"]) == {"backend", "opt_level", "lint"}
+    assert set(first["config"]) == {"backend", "opt_level"}
     aggregate = first["aggregate"]
     assert set(aggregate) >= {
         "functions",
         "candidates",
         "verdict_counts",
         "ground_truth_agreement",
-        "lint",
         "mismatches",
         "top1_by_similarity",
         "topk_any_equivalent",

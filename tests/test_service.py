@@ -84,7 +84,9 @@ def _service(**kwargs):
 def test_score_endpoint_schema_pin():
     """The response shape is API: exactly these keys, these verdicts."""
     with _service() as (_, client):
-        response = client.score(_request())
+        # A key the service does not read (here the retired "lint" switch)
+        # is ignored, so old clients keep working.
+        response = client.score(_request(lint=False))
     assert set(response) == {
         "schema",
         "uid",
@@ -105,8 +107,6 @@ def test_score_endpoint_schema_pin():
             "similarity",
             "detail",
             "agreement",
-            "lint_flagged",
-            "lint_prefilter",
         }
     assert [c["index"] for c in response["candidates"]] == [0, 1, 2]
 
