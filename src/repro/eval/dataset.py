@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.eval.cache import add_cache_arguments, cache_from_args, describe_stats
+from repro.lang import ast_nodes as ast
 from repro.lang.interpreter import CInterpreterError, RuntimeLimitExceeded
 from repro.lang.lexer import LexError
 from repro.lang.parser import ParseError, parse_program
@@ -125,7 +126,7 @@ class DatasetError(Exception):
     ground truth: it must compile everywhere and execute cleanly)."""
 
 
-def front_end_gate(source: str, name: str):
+def front_end_gate(source: str, name: str, program: Optional[ast.Program] = None):
     """Run parse -> typecheck on a candidate: the single source of truth
     for front-end verdicts.
 
@@ -133,11 +134,18 @@ def front_end_gate(source: str, name: str):
     in the front end, else ``(program, checker)``.  Both the scorer and the
     mutation certifier judge candidates through this one gate, so their
     notions of ``parse_error``/``type_error`` cannot drift apart.
+
+    ``program``, when given, is the unchecked AST ``source`` was printed
+    from (a repair neighbor's), and the parse is skipped.  The name check
+    and the type check still run on it, so this is still the certifier's
+    gate: such a program is the tree ``source`` parses to, which
+    ``tests/test_neighbor_ast.py`` checks on the neighbor population.
     """
-    try:
-        program = parse_program(source)
-    except (ParseError, LexError, RecursionError) as exc:
-        return "parse_error", f"{type(exc).__name__}: {exc}"
+    if program is None:
+        try:
+            program = parse_program(source)
+        except (ParseError, LexError, RecursionError) as exc:
+            return "parse_error", f"{type(exc).__name__}: {exc}"
     if program.function(name) is None:
         return "type_error", f"candidate does not define {name!r}"
     checker = TypeChecker(program)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import copy
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.compiler.driver import CompileError, lower_for_backend
@@ -98,6 +98,10 @@ class Candidate:
     kind: str  # which mutation produced it
     expected: str  # the exact verdict the scorer must emit
     detail: str = ""
+    #: The unchecked AST ``text`` was printed from, when its producer has
+    #: one (repair neighbors do): the scorer's gate type-checks it instead
+    #: of parsing ``text`` again.  Not part of equality, repr or the cache.
+    program: Optional[ast.Program] = field(default=None, compare=False, repr=False)
 
 
 class MutationError(Exception):
@@ -688,7 +692,10 @@ class Mutator:
         self.rng.shuffle(labels)
         produced = [self._one(entry, label) for label in labels[:count]]
         if cache is not None and key is not None:
-            cache.put("candidates", key, [vars(candidate) for candidate in produced])
+            # The five text fields only: a carried AST is not cache data.
+            fields = ("text", "label", "kind", "expected", "detail")
+            payload = [{name: getattr(c, name) for name in fields} for c in produced]
+            cache.put("candidates", key, payload)
         return produced
 
 
@@ -778,8 +785,12 @@ def repair_neighbors(
     text unchanged yield nothing.  ``start`` is an index into that edit
     list: the stream begins at ``edits[start:]`` without building the
     ones before it.  With ``indexed=True`` each item is
-    ``(index, kind, text)``, and ``start=index + 1`` continues right after
-    it; the beam search persists that cursor and resumes from it.
+    ``(index, kind, text, program)``, and ``start=index + 1`` continues
+    right after it; the beam search persists that cursor and resumes from
+    it.  ``program`` is the edited, not yet type-checked AST that ``text``
+    was printed from, and parsing ``text`` gives the same tree
+    (``tests/test_neighbor_ast.py`` pins it), so the scorer's gate
+    type-checks it instead of parsing ``text`` again.
     Sources that do not parse or do not define ``name`` yield nothing
     (``parse_error`` candidates cannot be repaired by AST edits).
     """
@@ -801,10 +812,15 @@ def repair_neighbors(
             )
 
     # 2. literal_nudge: undoes bump_literal (and half of zero_divisor).
+    #    A result below 0 is built as the parser builds ``-1``: unary minus
+    #    over a literal, so the carried AST is the one its text parses to.
     def _nudge(f: ast.FunctionDef, i: int, d: int) -> None:
         parent, attr, index = _literal_slots(f)[i]
-        literal = get_slot(parent, attr, index)
-        set_slot(parent, attr, index, ast.IntLiteral(literal.value + d))
+        value = get_slot(parent, attr, index).value + d
+        nudged: ast.Expr = ast.IntLiteral(value)
+        if value < 0:
+            nudged = ast.UnaryOp("-", ast.IntLiteral(-value))
+        set_slot(parent, attr, index, nudged)
 
     for index in range(len(_literal_slots(func))):
         for delta in (1, -1):
@@ -884,4 +900,4 @@ def repair_neighbors(
             continue
         text = print_program(program)
         if text != source:
-            yield (index, kind, text) if indexed else (kind, text)
+            yield (index, kind, text, program) if indexed else (kind, text)

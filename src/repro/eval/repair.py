@@ -68,7 +68,8 @@ from repro.eval.score import (
     score_dataset,
     score_entry_sets,
 )
-from repro.testing.native import prepare_fork_harnesses
+from repro.lang import ast_nodes as ast
+from repro.testing.native import prepare_fork_harnesses, start_fork_harnesses
 
 #: Verdicts that make a scored candidate a repair target.  ``parse_error``
 #: sources cannot be repaired by AST edits and ``compile_error`` candidates
@@ -163,10 +164,17 @@ def _new_target(
     }
 
 
+#: One scheduled neighbor: ``(kind, text, depth, program)``, where
+#: ``program`` is the AST ``text`` was printed from (see
+#: :func:`repro.eval.mutate.repair_neighbors`).
+_Neighbor = Tuple[str, str, int, ast.Program]
+
+
 def _collect_chunk(
     target: Dict[str, Any], entry: DatasetEntry, config: RepairConfig
-) -> List[Tuple[str, str, int]]:
-    """The next up-to-``chunk`` unvisited ``(kind, text, depth)`` neighbors.
+) -> List[_Neighbor]:
+    """The next up-to-``chunk`` unvisited ``(kind, text, depth, program)``
+    neighbors.
 
     Advances the target's expansion cursor, an index into the expanding
     source's edit list (see :func:`repro.eval.mutate.repair_neighbors`):
@@ -183,7 +191,7 @@ def _collect_chunk(
         target["status"] = "exhausted"
         return []
     visited = set(target["visited"])
-    batch: List[Tuple[str, str, int]] = []
+    batch: List[_Neighbor] = []
     want = min(config.chunk, room)
     while len(batch) < want:
         if target["expanding"] is None:
@@ -201,14 +209,14 @@ def _collect_chunk(
             expanding["source"], entry.name, start=expanding["cursor"], indexed=True
         )
         exhausted_stream = True
-        for index, kind, text in stream:
+        for index, kind, text, program in stream:
             expanding["cursor"] = index + 1
             digest = _hash_source(text)
             if digest in visited:
                 continue
             visited.add(digest)
             target["visited"].append(digest)
-            batch.append((kind, text, expanding["depth"]))
+            batch.append((kind, text, expanding["depth"], program))
             if len(batch) >= want:
                 exhausted_stream = False
                 break
@@ -223,13 +231,13 @@ def _collect_chunk(
 
 def _apply_scores(
     target: Dict[str, Any],
-    chunk: List[Tuple[str, str, int]],
+    chunk: List[_Neighbor],
     scores: Sequence[CandidateScore],
     config: RepairConfig,
 ) -> None:
     """Fold one round's verdicts back into the target's search state."""
     verdicts: Dict[str, int] = {}
-    for (kind, text, depth), score in zip(chunk, scores):
+    for (kind, text, depth, _), score in zip(chunk, scores):
         target["attempts_used"] += 1
         verdicts[score.verdict] = verdicts.get(score.verdict, 0) + 1
         if score.verdict == "io_equivalent":
@@ -306,7 +314,7 @@ def _run_rounds(
         ]
         if not active:
             break
-        chunks: List[Tuple[Dict[str, Any], List[Tuple[str, str, int]]]] = []
+        chunks: List[Tuple[Dict[str, Any], List[_Neighbor]]] = []
         for target in active:
             entry = entries_by_uid[target["entry_uid"]]
             chunk = _collect_chunk(target, entry, config)
@@ -318,7 +326,7 @@ def _run_rounds(
             continue
         score_entries = [entries_by_uid[t["entry_uid"]] for t, _ in chunks]
         candidate_sets = [
-            [Candidate(text, "", kind, "") for kind, text, _ in chunk]
+            [Candidate(text, "", kind, "", program=program) for kind, text, _, program in chunk]
             for _, chunk in chunks
         ]
         all_scores = score_entry_sets(
@@ -419,6 +427,9 @@ def repair_campaign(
     """
     if config is None:
         config = RepairConfig()
+    # gcc compiles the fork-server control loop while the first round's
+    # neighbors are generated and staged.
+    start_fork_harnesses([config.backend])
     extra_config = dict(extra_config or {})
     entries_by_uid = {entry.uid: entry for entry in entries}
 

@@ -70,6 +70,7 @@ from repro.eval.dataset import (
     interpreter_observation,
 )
 from repro.eval.mutate import Candidate, Mutator
+from repro.lang import ast_nodes as ast
 from repro.lang.lexer import LexError, TokenKind, tokenize
 from repro.testing import native
 from repro.testing.frontend import CaseContext
@@ -209,19 +210,22 @@ def _front_end_gate(
     backend: str,
     opt_level: str,
     cache: Optional[EvalCache] = None,
+    program: Optional[ast.Program] = None,
 ) -> Union[Tuple[str, str], CaseContext]:
     """Run parse -> typecheck -> compile; (verdict, detail) on failure.
 
     Parse/typecheck verdicts come from the shared
     :func:`repro.eval.dataset.front_end_gate`, the same gate the mutation
     certifier uses — by construction the two cannot disagree on a
-    candidate's front-end fate.
+    candidate's front-end fate.  A candidate that carries its unchecked
+    AST (``program``, as repair neighbors do) skips only the parse; the
+    source text still keys the asm cache.
 
     With ``cache`` the emitted assembly (or the compile error) is stored
     keyed by the normalized token stream, so a warm run seeds the context
     instead of lowering and emitting again.
     """
-    gate = front_end_gate(source, name)
+    gate = front_end_gate(source, name, program)
     if isinstance(gate[0], str):
         return gate
     program, checker = gate
@@ -294,7 +298,9 @@ def _stage_candidates(
     scores: List[CandidateScore] = []
     survivors: List[Tuple[int, CaseContext]] = []
     for index, candidate in enumerate(candidates):
-        gate = _front_end_gate(candidate.text, entry.name, backend, opt_level, cache)
+        gate = _front_end_gate(
+            candidate.text, entry.name, backend, opt_level, cache, candidate.program
+        )
         similarity = edit_similarity(candidate.text, entry.source)
         # A survivor's verdict and detail are filled in once it has executed.
         verdict, detail = gate if isinstance(gate, tuple) else ("", "")
@@ -614,6 +620,7 @@ def score_dataset(
     cache — hit/miss statistics accumulate on the cache object instead
     (worker processes ship their counters back for aggregation).
     """
+    native.start_fork_harnesses([backend])
     score_kwargs = {"backend": backend, "opt_level": opt_level}
     if jobs > 1 and len(entries) > 1:
         workers = min(jobs, len(entries))

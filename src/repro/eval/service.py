@@ -99,6 +99,7 @@ from repro.eval.score import (
     score_from_payload,
     score_to_payload,
 )
+from repro.testing.native import start_fork_harnesses
 
 DEFAULT_PORT = 8731
 
@@ -536,6 +537,7 @@ class ScoringService:
 
     def run(self) -> None:
         """Serve until shut down; blocks the calling thread."""
+        start_fork_harnesses([self.backend])
         self._start_workers()
         try:
             with _Server((self.host, self.port), _Handler) as server:

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.testing.generator import GeneratedCase, ProgramGenerator
-from repro.testing.native import prepare_fork_harnesses
+from repro.testing.native import prepare_fork_harnesses, start_fork_harnesses
 from repro.testing.oracle import Oracle, OracleError
 from repro.testing.reduce import oracle_interestingness, reduce_case
 
@@ -240,6 +240,7 @@ def run_campaign(
     result list is byte-identical to a single-process run.
     """
     indices = list(range(count))
+    start_fork_harnesses(config.backends)
     if jobs <= 1:
         working_oracle = oracle if oracle is not None else build_oracle(config)
         return evaluate_cases(working_oracle, config, base_seed, indices)

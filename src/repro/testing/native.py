@@ -8,7 +8,9 @@ lines and ``fork()``s per pair.  Each child inherits pristine globals
 through copy-on-write, so trap isolation and state reset come for free —
 a trapping pair kills only its child, and the server keeps answering
 without any re-exec.  The control loop is generic C compiled **once per
-process** into a cached object file; per batch only a small table TU (the
+process** into a cached object file, in the background: every native
+entry point calls :func:`start_fork_harnesses` as it begins, and the first
+batch's link joins that compile.  Per batch only a small table TU (the
 cases, their globals, and a C call stub for each signature too wide for
 the argument registers) and the concatenated assembly are compiled.
 
@@ -555,18 +557,33 @@ int main(int argc, char **argv) {
 )
 
 _harness_objects: Dict[str, Path] = {}
+#: Control-loop compiles started but not yet joined: ISA -> (gcc, object).
+_harness_builds: Dict[str, Tuple[subprocess.Popen, Path]] = {}
 _harness_dir: Optional[Path] = None
+#: Guards starting and joining the compiles: threads that need the control
+#: loop at once run one compile per ISA and all link the finished object.
+_harness_lock = threading.Lock()
 
 
-def _forkserver_harness_object(isa: str) -> Path:
-    """The control loop compiled for ``isa``, cached per process."""
+def _discard_harnesses(directory: Path) -> None:
+    """At exit: kill and reap any compile still running, then remove the
+    harness dir."""
+    for proc, _ in list(_harness_builds.values()):
+        proc.kill()
+        proc.wait()
+    _harness_builds.clear()
+    shutil.rmtree(directory, ignore_errors=True)
+
+
+def _start_harness_build(isa: str) -> None:
+    """Start ``gcc -c`` on the control loop for ``isa`` unless it is built
+    or building.  The caller holds ``_harness_lock``."""
     global _harness_dir
-    cached = _harness_objects.get(isa)
-    if cached is not None:
-        return cached
+    if isa in _harness_objects or isa in _harness_builds:
+        return
     if _harness_dir is None:
         _harness_dir = Path(tempfile.mkdtemp(prefix="mc_forkserver_"))
-        atexit.register(shutil.rmtree, _harness_dir, ignore_errors=True)
+        atexit.register(_discard_harnesses, _harness_dir)
     source = _harness_dir / f"forkserver_{isa}.c"
     source.write_text(_FORK_HARNESS_C)
     obj = _harness_dir / f"forkserver_{isa}.o"
@@ -575,28 +592,81 @@ def _forkserver_harness_object(isa: str) -> Path:
         assert cc is not None, "no AArch64 cross compiler available"
     else:
         cc = "gcc"
-    subprocess.run(
+    proc = subprocess.Popen(
         [cc, "-O2", "-c", "-o", str(obj), str(source)],
-        check=True,
-        capture_output=True,
-        timeout=120,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
     )
-    _harness_objects[isa] = obj
-    return obj
+    _harness_builds[isa] = (proc, obj)
+
+
+def _forkserver_harness_object(isa: str) -> Path:
+    """The control loop compiled for ``isa``, once per process.
+
+    Joins the compile :func:`start_fork_harnesses` started, or starts one
+    and joins it.  A failed compile raises ``CalledProcessError`` (a hung
+    one ``TimeoutExpired``) out of the batch construction that needed it,
+    and the next need tries again.
+    """
+    with _harness_lock:
+        cached = _harness_objects.get(isa)
+        if cached is not None:
+            return cached
+        _start_harness_build(isa)
+        proc, obj = _harness_builds.pop(isa)
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise
+        if proc.returncode != 0:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args, stdout, stderr)
+        _harness_objects[isa] = obj
+        return obj
+
+
+def _runnable_isas(isas: Sequence[str]) -> List[str]:
+    """The ISAs of ``isas`` this host can run natively, deduplicated."""
+    return [
+        isa
+        for isa in dict.fromkeys(isas)
+        if (isa == "x86" and have_native_toolchain()) or (isa == "arm" and have_arm_toolchain())
+    ]
+
+
+def start_fork_harnesses(isas: Sequence[str]) -> None:
+    """Start compiling the fork-server control loop in the background for
+    each of ``isas`` this host can run (other names, such as ``"none"``,
+    are skipped).
+
+    Every native entry point calls this as it begins, so gcc runs while
+    the main thread stages the first group; the first batch's link joins
+    the compile.  A compile still running at exit is killed and reaped.
+    A compile that cannot start is left to the first batch, which starts
+    it again and fails the way any build does.
+    """
+    with _harness_lock:
+        for isa in _runnable_isas(isas):
+            try:
+                _start_harness_build(isa)
+            except OSError:
+                pass
 
 
 def prepare_fork_harnesses(isas: Sequence[str]) -> None:
-    """Compile the fork-server harness now for each of ``isas`` this host
-    can run (other names, such as ``"none"``, are skipped).
+    """Compile the fork-server control loop for each of ``isas`` this host
+    can run, and wait for it: join any compile already started.
 
     Call it before forking a ``multiprocessing`` pool: the workers then
-    inherit the compiled objects instead of each compiling its own into a
+    inherit the finished objects instead of each compiling its own into a
     temp dir, which would leak, because pool workers exit without running
-    ``atexit``.  The parent's ``atexit`` removes the one shared dir.
+    ``atexit``.  A compile still in flight cannot cross the fork either:
+    the worker could not wait on its parent's child.  The parent's
+    ``atexit`` removes the one shared dir.
     """
-    for isa in dict.fromkeys(isas):
-        if (isa == "x86" and have_native_toolchain()) or (isa == "arm" and have_arm_toolchain()):
-            _forkserver_harness_object(isa)
+    for isa in _runnable_isas(isas):
+        _forkserver_harness_object(isa)
 
 
 def _forkserver_ret_kind(return_type: ct.CType) -> int:
@@ -1341,4 +1411,6 @@ __all__ = [
     "batch_build_timeout",
     "have_arm_toolchain",
     "have_native_toolchain",
+    "prepare_fork_harnesses",
+    "start_fork_harnesses",
 ]

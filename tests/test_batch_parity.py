@@ -624,8 +624,8 @@ def test_scorer_charges_compile_error_to_the_unlinkable_candidate_alone(monkeypa
 
     original_gate = score._front_end_gate
 
-    def gate(source, name, backend, opt_level, cache=None):
-        result = original_gate(source, name, backend, opt_level, cache)
+    def gate(source, name, backend, opt_level, cache=None, program=None):
+        result = original_gate(source, name, backend, opt_level, cache, program)
         if source == poisoned_text and not isinstance(result, tuple):
             result.seed_assembly(
                 backend, opt_level, _unlinkable(result.assembly(backend, opt_level))

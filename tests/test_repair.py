@@ -113,8 +113,8 @@ def test_repair_neighbors_start_is_a_slice_of_the_edit_list():
         parse_program("int f(int a, int b) { if (a < b) { return a * 3; } return b - 1; }")
     )
     indexed = list(repair_neighbors(source, "f", indexed=True))
-    assert [(kind, text) for _, kind, text in indexed] == list(repair_neighbors(source, "f"))
-    indices = [index for index, _, _ in indexed]
+    assert [(kind, text) for _, kind, text, _ in indexed] == list(repair_neighbors(source, "f"))
+    indices = [index for index, _, _, _ in indexed]
     assert indices == sorted(set(indices))
     for start in (0, 1, 7, indices[len(indices) // 2], indices[-1] + 1):
         tail = list(repair_neighbors(source, "f", start=start, indexed=True))
@@ -130,10 +130,10 @@ def test_chunks_are_the_unvisited_neighbors_in_order():
     config = _config(chunk=5, budget=60)
     visited = {_hash_source(candidate.text)}
     expected = []
-    for kind, text in repair_neighbors(candidate.text, entry.name):
+    for _, kind, text, program in repair_neighbors(candidate.text, entry.name, indexed=True):
         if _hash_source(text) not in visited:
             visited.add(_hash_source(text))
-            expected.append((kind, text, 0))
+            expected.append((kind, text, 0, program))
     assert len(expected) >= 10
     first = _collect_chunk(target, entry, config)
     assert first == expected[:5]
