@@ -2,29 +2,34 @@
 
 This is the "run the ground truth for real" half of the paper's
 IO-equivalence check.  :class:`NativeBatch` compiles N cases into **one**
-translation unit per (ISA, opt level) and executes them on a **fork
-server**: one process whose control loop reads (case, input) request
-lines and ``fork()``s per pair.  Each child inherits pristine globals
-through copy-on-write, so trap isolation and state reset come for free —
-a trapping pair kills only its child, and the server keeps answering
-without any re-exec.  The control loop is generic C compiled **once per
-process** into a cached object file, in the background: every native
-entry point calls :func:`start_fork_harnesses` as it begins, and the first
-batch's link joins that compile.  Per batch only a small table TU (the
-cases, their globals, and a C call stub for each signature too wide for
-the argument registers) and the concatenated assembly are compiled.
+build per (ISA, opt level) and executes them on a **fork server**: one
+process whose control loop reads (case, input) request lines and
+``fork()``s per pair.  Each child inherits pristine globals through
+copy-on-write, so trap isolation and state reset come for free — a
+trapping pair kills only its child, and the server keeps answering
+without any re-exec.  The control loop is generic C built **once per
+process**, in the background: every native entry point calls
+:func:`start_fork_harnesses` as it begins.  On x86 that build links the
+only executable of the run, and each batch is a shared object holding no
+libc, crt or control-loop code — a small table TU (the cases, their
+globals, and a C call stub for each signature too wide for the argument
+registers) plus the concatenated assembly — which the server ``dlopen``s.
+The ARM leg links the control-loop object into each batch statically and
+runs it under one ``qemu-aarch64`` process.
 
 Builds and execution both run in the background.  The build starts when
-the batch is constructed; :meth:`NativeBatch.launch` joins it and starts
-the server **file-fed**: its stdin is a file holding every request line
-and its stdout a file of records, so it answers all pairs without this
-process driving it, and a server that dies or wedges is restarted on the
-pairs it left unanswered.  The ARM leg runs the same server statically
-linked under one ``qemu-aarch64`` process.  A one-case batch is the
-smallest unit of native execution; :class:`GroupedBatchRunner` packs many
-units into shared batches as a lazy iterable yields them, keeps three
-groups in flight (one executing, two building), and bisects a group that
-fails to build down to the case at fault.
+the batch is constructed; :meth:`NativeBatch.launch` joins it (and, the
+first time, the control-loop build) and starts the server **file-fed**:
+its stdin is a file holding every request line and its stdout a file of
+records, so it answers all pairs without this process driving it, and a
+server that dies or wedges is restarted on the pairs it left unanswered.
+A one-case batch is the smallest unit of native execution;
+:class:`GroupedBatchRunner` packs many units into shared batches as a
+lazy iterable yields them, keeps three groups in flight (one executing,
+two building), and bisects a group that fails to build (or whose object
+cannot be loaded) down to the case at fault.  A failed control-loop build
+is no case's fault: it is remembered for the process and charged to
+every case at once.
 
 Batching shares one process across cases, so per-case symbols are made
 unique: the entry point and every global are renamed ``__caseN_<name>``
@@ -263,17 +268,35 @@ def _assembly_globals(assembly: str) -> List[Tuple[str, int]]:
     return found
 
 
-def _build_command(
-    isa: str, binary: Path, sources: Sequence[Path]
-) -> Tuple[List[str], List[str]]:
-    """(build command, execution prefix) for one linked harness binary."""
-    if isa == "arm" and platform.machine() != "aarch64":
+def _build_command(isa: str, binary: Path, sources: Sequence[Path]) -> List[str]:
+    """The command that builds one batch's ``binary`` from ``sources``.
+
+    On x86 that is a shared object holding only the batch: no libc, crt or
+    control-loop code, so building it is a compile and a small link, and
+    ``-Bsymbolic`` binds the cases' calls to their own definitions.  On ARM
+    it is a static executable with the control-loop object linked in.
+    """
+    if isa == "x86":
+        shared = ["-shared", "-nostdlib", "-fPIC", "-Wl,-Bsymbolic"]
+        return ["gcc", *shared, "-o", str(binary), *map(str, sources)]
+    sources = [_forkserver_harness(isa), *sources]
+    if platform.machine() != "aarch64":
         cc = _arm_cross_compiler()
         assert cc is not None, "no AArch64 cross compiler available"
-        build = [cc, "-static", "-o", str(binary), *map(str, sources)]
-        return build, _arm_emulator() or []
-    build = ["gcc", "-no-pie", "-o", str(binary), *map(str, sources)]
-    return build, []
+        return [cc, "-static", "-o", str(binary), *map(str, sources)]
+    return ["gcc", "-no-pie", "-o", str(binary), *map(str, sources)]
+
+
+def _server_command(isa: str, binary: Path, timeout_ms: int) -> List[str]:
+    """The fork server's command line for one built batch ``binary``.
+
+    On x86 it joins the control-loop build, which loads ``binary`` by its
+    absolute path; on ARM the batch is the server, run under qemu unless
+    the host is aarch64.
+    """
+    if isa == "x86":
+        return [str(_forkserver_harness(isa)), str(timeout_ms), os.path.abspath(binary)]
+    return [*(_arm_emulator() or []), str(binary), str(timeout_ms)]
 
 
 @dataclass
@@ -359,11 +382,20 @@ struct mc_case {
 void mc_call_registers(const mc_case *c, const mc_val *args, mc_val *ret);
 """
 
-#: The generic control loop.  Compiled once per (ISA) into a cached object
-#: file; every batch links it against a generated ``mc_cases`` table.  The
-#: parent never runs case code: it parses one request line into an
-#: argument array sized by the case's table row, ``fork()``s, and the child
-#: calls the case through the call stub its row names.
+#: The x86 control loop's exit status when it cannot load its batch object.
+_LOAD_FAILED = 3
+
+#: The generic control loop, built once per (ISA, process).  On x86 it is
+#: linked into an executable (``-DMC_DLOPEN``) that ``dlopen``s the batch's
+#: shared object named by its second argument and reads that object's
+#: ``mc_cases`` table through ``dlsym``; the object calls back into the
+#: exported ``mc_call_registers``.  An object it cannot load makes it print
+#: the loader's message and exit with ``MC_LOAD_FAILED`` before it reads any
+#: request.  On ARM it is compiled into an object file that every batch
+#: links statically against its table.  The parent never runs case code:
+#: it parses one request line into an argument array sized by the case's
+#: table row, ``fork()``s, and the child calls the case through the call
+#: stub its row names.
 #:
 #: ``mc_call_registers`` is the stub of every signature whose parameters
 #: travel in registers: at most six integer-class and six double
@@ -385,12 +417,43 @@ _FORK_HARNESS_C = (
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#ifdef MC_DLOPEN
+#include <dlfcn.h>
+#include <elf.h>
+#include <sys/stat.h>
+#endif
 
 """
     + _FORK_TABLE_DEFS
+    + f"#define MC_LOAD_FAILED {_LOAD_FAILED}\n"
     + """\
+#ifdef MC_DLOPEN
+static const mc_case *mc_cases;
+static int mc_case_count;
+
+/* 1 when every loadable segment of the ELF object at path lies inside the
+   file.  dlopen maps a truncated object without complaint, and the first
+   touch past its end raises SIGBUS. */
+static int mc_whole_object(const char *path) {
+    FILE *f = fopen(path, "rb");
+    struct stat st;
+    Elf64_Ehdr eh;
+    if (!f) return 1; /* dlopen reports it */
+    int ok = fstat(fileno(f), &st) == 0 && fread(&eh, sizeof eh, 1, f) == 1
+             && eh.e_phentsize == sizeof(Elf64_Phdr)
+             && fseek(f, (long)eh.e_phoff, SEEK_SET) == 0;
+    for (int i = 0; ok && i < eh.e_phnum; i++) {
+        Elf64_Phdr ph;
+        ok = fread(&ph, sizeof ph, 1, f) == 1
+             && (ph.p_type != PT_LOAD || ph.p_offset + ph.p_filesz <= (Elf64_Off)st.st_size);
+    }
+    fclose(f);
+    return ok;
+}
+#else
 extern const mc_case mc_cases[];
 extern const int mc_case_count;
+#endif
 
 typedef long long (*mc_ifn)(long long, long long, long long, long long, long long,
                             long long, double, double, double, double, double, double);
@@ -444,6 +507,20 @@ static char mc_line[1 << 20];
 
 int main(int argc, char **argv) {
     long timeout_ms = argc > 1 ? atol(argv[1]) : 10000;
+#ifdef MC_DLOPEN
+    const char *why = argc < 3 ? "no batch object named"
+                      : !mc_whole_object(argv[2]) ? "batch object is not a whole ELF file"
+                      : 0;
+    void *batch = why ? 0 : dlopen(argv[2], RTLD_NOW);
+    const int *count = batch ? dlsym(batch, "mc_case_count") : 0;
+    mc_cases = batch ? dlsym(batch, "mc_cases") : 0;
+    if (!count || !mc_cases) {
+        if (!why) why = dlerror();
+        printf("%s\\n", why ? why : "batch object has no case table");
+        return MC_LOAD_FAILED;
+    }
+    mc_case_count = *count;
+#endif
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
     sa.sa_handler = mc_on_alarm; /* no SA_RESTART: waitpid must see EINTR */
@@ -556,74 +633,115 @@ int main(int argc, char **argv) {
 """
 )
 
-_harness_objects: Dict[str, Path] = {}
-#: Control-loop compiles started but not yet joined: ISA -> (gcc, object).
+#: Built control loops: ISA -> the x86 executable or the ARM object file.
+_harnesses: Dict[str, Path] = {}
+#: Control-loop builds started but not yet joined: ISA -> (gcc, product).
 _harness_builds: Dict[str, Tuple[subprocess.Popen, Path]] = {}
+#: Control-loop builds that failed: every later need re-raises the failure.
+_harness_failures: Dict[str, "HarnessBuildError"] = {}
 _harness_dir: Optional[Path] = None
-#: Guards starting and joining the compiles: threads that need the control
-#: loop at once run one compile per ISA and all link the finished object.
+#: Guards starting and joining the builds: threads that need the control
+#: loop at once run one build per ISA and all use the finished product.
 _harness_lock = threading.Lock()
 
 
+class HarnessBuildError(subprocess.CalledProcessError):
+    """The fork-server control loop failed to build (compile, link, or a
+    build past its deadline).
+
+    It is the whole ISA's failure, not a case's: it is remembered for the
+    rest of the process, every batch of that ISA fails with it without
+    building, and no runner bisects it.
+    """
+
+
 def _discard_harnesses(directory: Path) -> None:
-    """At exit: kill and reap any compile still running, then remove the
-    harness dir."""
+    """At exit: stop and reap any build still running, then remove the
+    harness dir.
+
+    The build runs in its own process group, and SIGTERM reaches all of
+    it: the gcc driver deletes its temp files on SIGTERM, while SIGKILL
+    left a ``cc*.s`` in ``TMPDIR`` and ``cc1`` running on.
+    """
     for proc, _ in list(_harness_builds.values()):
-        proc.kill()
-        proc.wait()
+        try:
+            os.killpg(proc.pid, signal.SIGTERM)
+            proc.wait(timeout=5)
+        except (OSError, subprocess.TimeoutExpired):
+            proc.kill()
+            proc.wait()
     _harness_builds.clear()
     shutil.rmtree(directory, ignore_errors=True)
 
 
 def _start_harness_build(isa: str) -> None:
-    """Start ``gcc -c`` on the control loop for ``isa`` unless it is built
-    or building.  The caller holds ``_harness_lock``."""
+    """Start building the control loop for ``isa`` unless it is built,
+    building or failed: on x86 ``gcc`` links the executable that
+    ``dlopen``s batch objects, on ARM ``gcc -c`` compiles the object every
+    batch links in.  The caller holds ``_harness_lock``."""
     global _harness_dir
-    if isa in _harness_objects or isa in _harness_builds:
+    if isa in _harnesses or isa in _harness_builds or isa in _harness_failures:
         return
     if _harness_dir is None:
         _harness_dir = Path(tempfile.mkdtemp(prefix="mc_forkserver_"))
         atexit.register(_discard_harnesses, _harness_dir)
     source = _harness_dir / f"forkserver_{isa}.c"
     source.write_text(_FORK_HARNESS_C)
-    obj = _harness_dir / f"forkserver_{isa}.o"
-    if isa == "arm" and platform.machine() != "aarch64":
-        cc = _arm_cross_compiler()
-        assert cc is not None, "no AArch64 cross compiler available"
+    if isa == "x86":
+        # Unoptimised: a pair's cost is its fork, and -O2 would add ~100 ms
+        # of CPU to a build the first batch may wait on.
+        product = _harness_dir / f"forkserver_{isa}"
+        command = ["gcc", "-O0", "-DMC_DLOPEN", "-rdynamic", "-o", str(product)]
+        command += [str(source), "-ldl"]
     else:
-        cc = "gcc"
+        product = _harness_dir / f"forkserver_{isa}.o"
+        if platform.machine() != "aarch64":
+            cc = _arm_cross_compiler()
+            assert cc is not None, "no AArch64 cross compiler available"
+        else:
+            cc = "gcc"
+        command = [cc, "-O2", "-c", "-o", str(product), str(source)]
     proc = subprocess.Popen(
-        [cc, "-O2", "-c", "-o", str(obj), str(source)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True
     )
-    _harness_builds[isa] = (proc, obj)
+    _harness_builds[isa] = (proc, product)
 
 
-def _forkserver_harness_object(isa: str) -> Path:
-    """The control loop compiled for ``isa``, once per process.
+def _raise_harness_failure(isa: str) -> None:
+    """Raise the remembered control-loop failure of ``isa``, if any (a
+    fresh copy each time, so tracebacks do not pile up on one object)."""
+    failure = _harness_failures.get(isa)
+    if failure is not None:
+        raise HarnessBuildError(failure.returncode, failure.cmd, failure.output, failure.stderr)
 
-    Joins the compile :func:`start_fork_harnesses` started, or starts one
-    and joins it.  A failed compile raises ``CalledProcessError`` (a hung
-    one ``TimeoutExpired``) out of the batch construction that needed it,
-    and the next need tries again.
+
+def _forkserver_harness(isa: str) -> Path:
+    """The control loop built for ``isa``, once per process: the x86
+    executable, or the ARM object file.
+
+    Joins the build :func:`start_fork_harnesses` started, or starts one
+    and joins it.  A build that fails or runs past 120 s raises
+    :class:`HarnessBuildError`, and so does every later call in this
+    process.  A build that cannot start raises ``OSError`` and is tried
+    again by the next call.
     """
     with _harness_lock:
-        cached = _harness_objects.get(isa)
+        cached = _harnesses.get(isa)
         if cached is not None:
             return cached
+        _raise_harness_failure(isa)
         _start_harness_build(isa)
-        proc, obj = _harness_builds.pop(isa)
+        proc, product = _harness_builds.pop(isa)
         try:
             stdout, stderr = proc.communicate(timeout=120)
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.communicate()
-            raise
+            stdout, stderr = proc.communicate()
         if proc.returncode != 0:
-            raise subprocess.CalledProcessError(proc.returncode, proc.args, stdout, stderr)
-        _harness_objects[isa] = obj
-        return obj
+            _harness_failures[isa] = HarnessBuildError(proc.returncode, proc.args, stdout, stderr)
+            _raise_harness_failure(isa)
+        _harnesses[isa] = product
+        return product
 
 
 def _runnable_isas(isas: Sequence[str]) -> List[str]:
@@ -636,15 +754,16 @@ def _runnable_isas(isas: Sequence[str]) -> List[str]:
 
 
 def start_fork_harnesses(isas: Sequence[str]) -> None:
-    """Start compiling the fork-server control loop in the background for
+    """Start building the fork-server control loop in the background for
     each of ``isas`` this host can run (other names, such as ``"none"``,
     are skipped).
 
     Every native entry point calls this as it begins, so gcc runs while
-    the main thread stages the first group; the first batch's link joins
-    the compile.  A compile still running at exit is killed and reaped.
-    A compile that cannot start is left to the first batch, which starts
-    it again and fails the way any build does.
+    the main thread stages the first groups.  The first batch to launch
+    (x86) or to build (ARM) joins it; batch builds on x86 never wait for
+    it, because their objects hold no control-loop code.  A build still
+    running at exit is killed and reaped.  A build that cannot start is
+    left to the first batch, which starts it again.
     """
     with _harness_lock:
         for isa in _runnable_isas(isas):
@@ -655,18 +774,22 @@ def start_fork_harnesses(isas: Sequence[str]) -> None:
 
 
 def prepare_fork_harnesses(isas: Sequence[str]) -> None:
-    """Compile the fork-server control loop for each of ``isas`` this host
-    can run, and wait for it: join any compile already started.
+    """Build the fork-server control loop for each of ``isas`` this host
+    can run, and wait for it: join any build already started.
 
     Call it before forking a ``multiprocessing`` pool: the workers then
-    inherit the finished objects instead of each compiling its own into a
+    inherit the finished products instead of each building its own into a
     temp dir, which would leak, because pool workers exit without running
-    ``atexit``.  A compile still in flight cannot cross the fork either:
-    the worker could not wait on its parent's child.  The parent's
-    ``atexit`` removes the one shared dir.
+    ``atexit``.  A build still in flight cannot cross the fork either: the
+    worker could not wait on its parent's child.  The parent's ``atexit``
+    removes the one shared dir.  A failed build does not raise here: the
+    workers inherit the remembered failure, and every batch is charged it.
     """
     for isa in _runnable_isas(isas):
-        _forkserver_harness_object(isa)
+        try:
+            _forkserver_harness(isa)
+        except BATCH_FAILURES:
+            pass
 
 
 def _forkserver_ret_kind(return_type: ct.CType) -> int:
@@ -793,28 +916,35 @@ class _ForkServer:
 
 
 class NativeBatch:
-    """Many cases, one binary per (ISA, opt level), one fork server per leg.
+    """Many cases, one build per (ISA, opt level), one fork server per leg.
 
-    The binary is the generic control loop linked against a generated
-    table: the cases, their globals, and a call stub for each signature
-    too wide for the argument registers.  The server forks per (case,
-    input) request, and each child calls its case's stub and dumps the
-    observable state.  Children inherit pristine globals by copy-on-write,
-    so no snapshot or restore is needed, and a trap costs one dead child
-    instead of a process relaunch.
+    The build holds a generated table — the cases, their globals, and a
+    call stub for each signature too wide for the argument registers — and
+    the cases' assembly.  On x86 it is a libc-free shared object
+    (``<tag>_x86_<opt>.so``) that the process-wide control loop loads by
+    absolute path; on ARM it is a static executable with the control loop
+    linked in.  The server forks per (case, input) request, and each child
+    calls its case's stub and dumps the observable state.  Children
+    inherit pristine globals by copy-on-write, so no snapshot or restore is
+    needed, and a trap costs one dead child instead of a process relaunch.
 
     Everything runs in the background.  Constructing a batch starts its
-    build (``ensure_built()`` joins it).  :meth:`launch` joins the build
-    and starts the server file-fed: stdin is a file holding every request
-    line, stdout a file next to the binary, so the server answers all
-    pairs while this process does other work.  :meth:`outcome` launches
-    the batch if no caller has, waits for the server and parses its
-    records.  A server that ends with pairs unanswered — killed, or past
-    its deadline of ``run_timeout + PER_PAIR_ALLOWANCE`` per pair still to
-    run plus ``SERVER_GRACE`` — is restarted on the unanswered pairs; a
-    pair it dies on more than ``MAX_PAIR_RETRIES`` times in a row is
-    charged ``limit``.  A build failure is the whole batch's:
-    :class:`GroupedBatchRunner` bisects it down to the case at fault.
+    build (``ensure_built()`` joins it, and on x86 the control-loop build
+    too).  :meth:`launch` joins the builds and starts the server
+    file-fed: stdin is a file holding every request line, stdout a file
+    next to the build, so the server answers all pairs while this process
+    does other work.  :meth:`outcome` launches the batch if no caller has,
+    waits for the server and parses its records.  A server that ends with
+    pairs unanswered — killed, or past its deadline of ``run_timeout +
+    PER_PAIR_ALLOWANCE`` per pair still to run plus ``SERVER_GRACE`` — is
+    restarted on the unanswered pairs; a pair it dies on more than
+    ``MAX_PAIR_RETRIES`` times in a row is charged ``limit``.  A build
+    failure is the whole batch's, and so is an object the server cannot
+    load (it exits with its own status before reading a request, and the
+    batch raises ``CalledProcessError`` with the loader's message):
+    :class:`GroupedBatchRunner` bisects either down to the case at fault.
+    A failed control-loop build (:class:`HarnessBuildError`) fails the
+    batch at construction or launch and is never bisected.
     """
 
     def __init__(
@@ -849,6 +979,9 @@ class NativeBatch:
         self._launched: Optional[Tuple[int, float]] = None
         self._closed = False
         self._lifecycle_lock = threading.Lock()
+        #: The server's command line, known once the batch is built.
+        self._command: Optional[List[str]] = None
+        _raise_harness_failure(isa)
 
         asm_parts: List[str] = []
         for index, case in enumerate(cases):
@@ -874,60 +1007,62 @@ class NativeBatch:
                 self._pairs.append((index, input_index))
 
         asm_text = "\n".join(asm_parts)
-        self.binary = workdir / f"{tag}_{isa}_{opt_level}"
+        stem = f"{tag}_{isa}_{opt_level}"
+        self.binary = workdir / (stem + ".so" if isa == "x86" else stem)
         # The table is produced even on a cache hit: _generate_table also
         # encodes the request lines and argument buffers execution needs,
         # and its text is part of the cache key.
         table = self._generate_table()
         if cache is not None:
+            # The product kind is keyed too: an x86 entry holds a shared
+            # object, never an executable cached by a static-link build.
+            kind = "shared" if isa == "x86" else "fork"
             self._cache_key = cache.key(
-                "binary", isa, "fork", _toolchain_id(isa), asm_text, table
+                "binary", isa, kind, _toolchain_id(isa), asm_text, table
             )
             if cache.get_file("binary", self._cache_key, self.binary):
                 self._cache_key = None  # satisfied: nothing to store later
-                if isa == "arm" and platform.machine() != "aarch64":
-                    self._exec_prefix = _arm_emulator() or []
-                else:
-                    self._exec_prefix = []
                 return
-        asm_path = workdir / f"{tag}_{isa}_{opt_level}.s"
+        asm_path = workdir / f"{stem}.s"
         asm_path.write_text(asm_text)
-        table_path = workdir / f"{tag}_{isa}_{opt_level}_table.c"
+        table_path = workdir / f"{stem}_table.c"
         table_path.write_text(table)
-        sources = [_forkserver_harness_object(isa), table_path, asm_path]
-        build, self._exec_prefix = _build_command(isa, self.binary, sources)
+        build = _build_command(isa, self.binary, [table_path, asm_path])
         self._build_cmd = build
         self._build_proc = subprocess.Popen(
             build, stdout=subprocess.PIPE, stderr=subprocess.PIPE
         )
 
     def ensure_built(self) -> None:
-        """Join the asynchronous build, raising on compiler failure."""
+        """Join the asynchronous build and the control-loop build the
+        server needs (x86), raising on compiler failure.
+
+        A failed control loop is raised in preference to the batch's own
+        failure: a toolchain that fails both is charged once, as the
+        control loop's, instead of being bisected case by case.
+        """
         if self._build_error is not None:
             raise self._build_error
-        if self._build_proc is None:
-            return
-        proc = self._build_proc
-        self._build_proc = None
-        try:
-            stdout, stderr = proc.communicate(
-                timeout=batch_build_timeout(self.run_timeout, len(self._pairs))
-            )
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            stdout, stderr = proc.communicate()
-            self._build_error = subprocess.CalledProcessError(
-                -9, self._build_cmd, stdout, stderr
-            )
+        proc, self._build_proc = self._build_proc, None
+        if proc is not None:
+            try:
+                stdout, stderr = proc.communicate(
+                    timeout=batch_build_timeout(self.run_timeout, len(self._pairs))
+                )
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                stdout, stderr = proc.communicate()
+            if proc.returncode != 0:
+                self._build_error = subprocess.CalledProcessError(
+                    proc.returncode, self._build_cmd, stdout, stderr
+                )
+            elif self._cache is not None and self._cache_key is not None:
+                self._cache.put_file("binary", self._cache_key, self.binary)
+                self._cache_key = None
+        if self._command is None:
+            self._command = _server_command(self.isa, self.binary, self._timeout_ms)
+        if self._build_error is not None:
             raise self._build_error
-        if proc.returncode != 0:
-            self._build_error = subprocess.CalledProcessError(
-                proc.returncode, self._build_cmd, stdout, stderr
-            )
-            raise self._build_error
-        if self._cache is not None and self._cache_key is not None:
-            self._cache.put_file("binary", self._cache_key, self.binary)
-            self._cache_key = None
 
     def close(self) -> None:
         """Release every live child process owned by this batch.
@@ -1066,12 +1201,12 @@ class NativeBatch:
         ``start`` on: their request lines are its stdin file."""
         requests = self._file(".req")
         requests.write_text("".join(self._requests[start:]))
-        command = self._exec_prefix + [str(self.binary), str(self._timeout_ms)]
+        assert self._command is not None
         with self._lifecycle_lock:
             if self._closed:
                 raise BatchExecutionError("batch closed")
             with open(requests, "rb") as stdin, open(self._file(".out"), "wb") as stdout:
-                self._server = _ForkServer(command, stdin, stdout)
+                self._server = _ForkServer(self._command, stdin, stdout)
         budget = (self.run_timeout + self.PER_PAIR_ALLOWANCE) * (len(self._pairs) - start)
         self._launched = (start, time.monotonic() + budget + self.SERVER_GRACE)
 
@@ -1107,6 +1242,13 @@ class NativeBatch:
             if self._closed:
                 raise BatchExecutionError("batch closed")
             answered = self._records()
+            if not answered and server is not None and server.proc.returncode == _LOAD_FAILED:
+                # Nothing ran: the object cannot be loaded (truncated, or a
+                # symbol no definition resolves), which fails the build as
+                # a link error would, with the loader's message as stderr.
+                raise subprocess.CalledProcessError(
+                    _LOAD_FAILED, server.proc.args, b"", self._file(".out").read_bytes()
+                )
             for flat, (code, record) in enumerate(answered, start):
                 outcomes[self._pairs[flat]] = self._pair_outcome(flat, code, record)
             flat = start + len(answered)
@@ -1335,8 +1477,8 @@ class GroupedBatchRunner:
                 failure = exc
             finally:
                 batch.close()
-        if len(cases) == 1:
-            return [failure]
+        if len(cases) == 1 or isinstance(failure, HarnessBuildError):
+            return [failure] * len(cases)
         half = len(cases) // 2
         outcomes: List[CaseOutcomes] = []
         for suffix, part in (("a", cases[:half]), ("b", cases[half:])):
@@ -1406,6 +1548,7 @@ __all__ = [
     "CaseOutcomes",
     "DEFAULT_GROUP_CASES",
     "GroupedBatchRunner",
+    "HarnessBuildError",
     "NativeBatch",
     "NativeResult",
     "batch_build_timeout",

@@ -643,18 +643,20 @@ class Oracle:
         self, prepared: PreparedBatch, failure: Exception
     ) -> List[CaseVerdict]:
         """Attribute a failed native batch: re-check each half of its cases
-        until the failing case stands alone and gets the failure."""
+        until the failing case stands alone and gets the failure.  A failed
+        control-loop build is every case's, so it is never bisected."""
         active = prepared.active
         verdicts = prepared.verdicts
         if not active:
             return verdicts
-        if len(active) == 1:
+        if len(active) == 1 or isinstance(failure, native.HarnessBuildError):
             stderr = getattr(failure, "stderr", None) or b""
             if isinstance(stderr, bytes):
                 stderr = stderr.decode("utf-8", "replace")
-            verdicts[active[0]] = OracleError(
-                f"native leg failed: {stderr[-2000:] or failure}"
-            )
+            for index in active:
+                verdicts[index] = OracleError(
+                    f"native leg failed: {stderr[-2000:] or failure}"
+                )
             return verdicts
         half = len(active) // 2
         for part in (active[:half], active[half:]):

@@ -405,7 +405,7 @@ def test_grouped_runner_context_manager_closes_batches():
             iterator = runner.run(units)
             next(iterator)
             live = [group[3] for group in runner._live]
-            assert [batch.binary.name for batch in live] == ["evalg1_x86_O0", "evalg2_x86_O0"]
+            assert [batch.binary.name for batch in live] == ["evalg1_x86_O0.so", "evalg2_x86_O0.so"]
             iterator.close()  # GeneratorExit -> finally -> close()
             assert not runner._live
             assert all(batch._closed for batch in live)
@@ -561,7 +561,8 @@ def test_closed_batch_refuses_new_execution():
 
 
 def _unlinkable(assembly: str) -> str:
-    """Assembly that assembles but cannot link: it calls a missing symbol."""
+    """Assembly that assembles but cannot be linked (ARM) or loaded (x86):
+    it calls a missing symbol."""
     return assembly + "\n\t.text\n.Lpoisoned:\n\tcall\tmc_no_such_symbol\n"
 
 

@@ -250,7 +250,7 @@ def test_jobs_workers_share_the_parents_fork_harness(tmp_path, monkeypatch):
     dir a worker made itself would leak.  The parent compiles the harness
     before forking, so at most its own dir exists."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    monkeypatch.setattr(native, "_harness_objects", {})
+    monkeypatch.setattr(native, "_harnesses", {})
     monkeypatch.setattr(native, "_harness_dir", None)
     results = run_campaign(FuzzConfig(require_native=True), 0, 4, jobs=2)
     assert not any(result.failed for result in results)
