@@ -51,7 +51,7 @@ from repro.lang.typecheck import TypeChecker
 from repro.testing.frontend import CaseContext
 from repro.testing.fuzz import case_seed
 from repro.testing.generator import ProgramGenerator
-from repro.testing.oracle import values_equal
+from repro.testing.oracle import first_value_mismatch
 
 #: The (ISA, opt level) grid a dataset entry is compiled across by default.
 DEFAULT_ISAS: Tuple[str, ...] = ("x86", "arm")
@@ -189,7 +189,7 @@ def observation_diff(
     if cand.status == "ok" and ref.status == "trap":
         return "mismatch", f"input #{index}: reference traps, candidate does not"
     if cand.status == "ok" and ref.status == "ok":
-        field_name = _first_value_mismatch(ref, cand)
+        field_name = first_value_mismatch(ref, cand)
         if field_name is not None:
             return "mismatch", f"input #{index}: {field_name} differs"
     return None
@@ -241,19 +241,6 @@ def classify_observations(
     """
     verdict, detail, _ = classify_with_diffs(reference, candidate)
     return verdict, detail
-
-
-def _first_value_mismatch(ref: Observation, cand: Observation) -> Optional[str]:
-    if ref.return_value is not None and not values_equal(
-        ref.return_value, cand.return_value
-    ):
-        return "return_value"
-    if not values_equal(ref.arg_values, cand.arg_values):
-        return "arg_values"
-    for key in sorted(ref.globals.keys() & cand.globals.keys()):
-        if not values_equal(ref.globals[key], cand.globals[key]):
-            return f"globals[{key}]"
-    return None
 
 
 def entry_from_json(data: Dict[str, Any]) -> DatasetEntry:

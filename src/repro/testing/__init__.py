@@ -21,7 +21,8 @@ and reports the first observable divergence:
   typecheck / lower once, share across every leg and input vector);
 * :mod:`repro.testing.native` — the native build-and-execute harness,
   :class:`NativeBatch` (N cases -> one binary per leg, one fork server
-  per run);
+  per run), packed and pipelined by ``GroupedBatchRunner`` for the oracle
+  and the eval scorer alike;
 * :mod:`repro.testing.fuzz` — the ``python -m repro.testing.fuzz`` CLI
   (``--jobs N`` worker pool, ``--batch-size``, deterministic aggregation).
 """

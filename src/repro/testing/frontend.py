@@ -119,6 +119,16 @@ class CaseContext:
             self._assembly[key] = cached
         return cached
 
+    def release_ir(self) -> None:
+        """Drop the lowered IR; a later :meth:`lowered` lowers again.
+
+        For callers that keep many contexts alive after emitting their
+        assembly and running their IR leg: what execution and comparison
+        read afterwards (source, types, assembly) stays.
+        """
+        self._lowered.clear()
+        self._ir_cache = None
+
     def seed_assembly(self, isa: str, opt_level: str, text: str) -> None:
         """Pre-populate one (ISA, opt level) assembly leg with known text.
 

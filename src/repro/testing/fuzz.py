@@ -7,18 +7,20 @@ reducer and prints a ready-to-commit reproducer.
 
 Throughput machinery (all verdict-preserving):
 
-* **Batched native execution**: cases are evaluated in batches of
-  ``--batch-size`` through :meth:`Oracle.check_batch`, which compiles each
-  batch into one translation unit per native backend — O(backends)
-  toolchain invocations per batch instead of O(cases x legs).
+* **Batched native execution**: cases are evaluated in chunks of
+  ``--batch-size`` through :meth:`Oracle.check_batches`, whose native legs
+  run on :class:`repro.testing.native.GroupedBatchRunner` (the scorer's
+  and the repair search's executor too): one build per native backend
+  holds ``--batch-size`` cases at both opt levels — O(backends) toolchain
+  invocations per batch instead of O(cases x legs).
 * **Fork-server execution**: each batch runs as one persistent process
   that ``fork()``s per (case, input) pair, so traps cost a dead child
   instead of a process relaunch and clean pairs never re-exec.
-* **Compile-while-execute pipelining**: native builds are launched
-  asynchronously, and the batched loop launches batch N's fork servers
-  (file-fed, in the background) and prepares batch N+1 (generate, lower,
-  launch builds, run the reference legs) before collecting batch N, so
-  the compilers and the servers run under the Python front half.
+* **Compile-while-execute pipelining**: the runner pulls chunks lazily and
+  keeps three batches in flight: while batch N's fork server runs
+  (file-fed, in the background) and batch N+1 builds, the chunk for batch
+  N+2 is generated, lowered and run on the reference legs, so the
+  compilers and the servers run under the Python front half.
 * **Parallel evaluation**: ``--jobs N`` shards the case indices round-robin
   across N worker processes.  Each case's verdict depends only on its seed,
   so results are aggregated deterministically by case index regardless of
@@ -55,11 +57,12 @@ divergence was found (or a leg failed to build).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.testing.generator import GeneratedCase, ProgramGenerator
 from repro.testing.native import prepare_fork_harnesses, start_fork_harnesses
@@ -149,81 +152,48 @@ def generate(config: FuzzConfig, base_seed: int, index: int) -> GeneratedCase:
     ).generate()
 
 
-def evaluate_cases(
+def _case_result(base_seed: int, index: int, verdict) -> CaseResult:
+    seed = case_seed(base_seed, index)
+    if verdict is None:
+        return CaseResult(index, seed, "ok")
+    if isinstance(verdict, Exception):
+        return CaseResult(index, seed, "build-error", str(verdict), "build-error")
+    return CaseResult(index, seed, "divergence", verdict.describe(), verdict.category)
+
+
+def check_chunks(
     oracle: Oracle, config: FuzzConfig, base_seed: int, indices: Sequence[int]
-) -> List[CaseResult]:
-    """Evaluate the given case indices, one batch at a time."""
-    results: List[CaseResult] = []
-    for chunk_results in iter_batched_results(oracle, config, base_seed, indices):
-        results.extend(chunk_results)
-    return results
+) -> Iterator[List[CaseResult]]:
+    """The results of ``indices``, one ``config.batch_size`` chunk at a time.
 
-
-def _chunk_results(
-    chunk: Sequence[int], verdicts, base_seed: int
-) -> List[CaseResult]:
-    results: List[CaseResult] = []
-    for index, verdict in zip(chunk, verdicts):
-        seed = case_seed(base_seed, index)
-        if verdict is None:
-            results.append(CaseResult(index, seed, "ok"))
-        elif isinstance(verdict, Exception):
-            results.append(
-                CaseResult(index, seed, "build-error", str(verdict), "build-error")
-            )
-        else:
-            results.append(
-                CaseResult(
-                    index, seed, "divergence", verdict.describe(), verdict.category
-                )
-            )
-    return results
-
-
-def iter_batched_results(
-    oracle: Oracle, config: FuzzConfig, base_seed: int, indices: Sequence[int]
-):
-    """Yield each batch's results with one-batch lookahead.
-
-    Batch N's fork servers are launched, and batch N+1 is *prepared*
-    (generated, lowered, native builds launched, reference legs run),
-    before batch N's records are collected: N's servers run and N+1's
-    compilers build underneath N+1's Python front half — the cross-batch
-    half of the compile-while-execute pipeline.
+    A chunk's cases are generated only when the oracle pulls the chunk, so
+    generation overlaps the native work in flight, as the rest of the
+    front half does.  Closing the iterator early closes the oracle's
+    stream, which reaps every build and server.
     """
-    pending: Optional[Tuple[List[int], Any]] = None
-    try:
-        for start in range(0, len(indices), config.batch_size):
-            chunk = list(indices[start : start + config.batch_size])
-            if pending is not None:  # its servers run while this batch is prepared
-                for batch, _ in pending[1].batches.values():
-                    batch.launch()
-            cases = [generate(config, base_seed, index) for index in chunk]
-            prepared = oracle.prepare_batch(cases)
-            if pending is not None:
-                done_chunk, done_prepared = pending
-                pending = None
-                yield _chunk_results(
-                    done_chunk, oracle.finish_batch(done_prepared), base_seed
-                )
-            pending = (chunk, prepared)
-        if pending is not None:
-            done_chunk, done_prepared = pending
-            pending = None
-            yield _chunk_results(
-                done_chunk, oracle.finish_batch(done_prepared), base_seed
-            )
-    finally:
-        # A consumer that stops early (first divergence) leaves one batch
-        # prepared but never collected; reap its compilers and servers.
-        if pending is not None:
-            for batch, _ in pending[1].batches.values():
-                batch.close()
+    chunks = [
+        indices[start : start + config.batch_size]
+        for start in range(0, len(indices), config.batch_size)
+    ]
+    cases = ([generate(config, base_seed, index) for index in chunk] for chunk in chunks)
+    with contextlib.closing(oracle.check_batches(cases, config.batch_size)) as verdicts:
+        for chunk, chunk_verdicts in zip(chunks, verdicts):
+            yield [
+                _case_result(base_seed, index, verdict)
+                for index, verdict in zip(chunk, chunk_verdicts)
+            ]
+
+
+def _all_results(
+    oracle: Oracle, config: FuzzConfig, base_seed: int, indices: Sequence[int]
+) -> List[CaseResult]:
+    chunks = check_chunks(oracle, config, base_seed, indices)
+    return [result for chunk in chunks for result in chunk]
 
 
 def _campaign_worker(payload) -> List[CaseResult]:
     config, base_seed, indices = payload
-    return evaluate_cases(build_oracle(config), config, base_seed, indices)
+    return _all_results(build_oracle(config), config, base_seed, indices)
 
 
 def run_campaign(
@@ -243,7 +213,7 @@ def run_campaign(
     start_fork_harnesses(config.backends)
     if jobs <= 1:
         working_oracle = oracle if oracle is not None else build_oracle(config)
-        return evaluate_cases(working_oracle, config, base_seed, indices)
+        return _all_results(working_oracle, config, base_seed, indices)
     shards = [indices[worker::jobs] for worker in range(jobs)]
     payloads = [(config, base_seed, shard) for shard in shards if shard]
     prepare_fork_harnesses(config.backends)
@@ -453,36 +423,35 @@ def main(argv: Optional[List[str]] = None) -> int:
                 break
     else:
         # Sequential: evaluate in chunks so a failure can stop the run early.
-        # The batched iterator keeps one batch in flight ahead of the one
-        # being drained (its builds compile in the background); stopping
-        # early just closes that lookahead batch.
-        result_chunks = iter_batched_results(
-            oracle, config, args.seed, list(range(args.count))
-        )
+        # The oracle's runners keep later batches in flight behind the one
+        # being drained; stopping early closes the stream, which reaps them.
         last_progress = 0
-        for results in result_chunks:
-            checked += len(results)
-            stop = False
-            for result in results:
-                if not result.failed:
-                    continue
-                failures += 1
-                failed_results.append(result)
-                _report_failure(
-                    result, generate(config, args.seed, result.index), oracle, args
-                )
-                if not args.keep_going:
-                    stop = True
+        with contextlib.closing(
+            check_chunks(oracle, config, args.seed, list(range(args.count)))
+        ) as result_chunks:
+            for results in result_chunks:
+                checked += len(results)
+                stop = False
+                for result in results:
+                    if not result.failed:
+                        continue
+                    failures += 1
+                    failed_results.append(result)
+                    _report_failure(
+                        result, generate(config, args.seed, result.index), oracle, args
+                    )
+                    if not args.keep_going:
+                        stop = True
+                        break
+                if stop:
                     break
-            if stop:
-                break
-            # Progress roughly every 25 cases (and at the end), independent
-            # of chunk size and of earlier --keep-going failures.
-            if checked - last_progress >= 25 or checked >= args.count:
-                rate = checked / max(1e-9, time.time() - started)
-                label = "ok" if not failures else "checked"
-                print(f"  {checked}/{args.count} cases {label} ({rate:.1f}/s)")
-                last_progress = checked
+                # Progress roughly every 25 cases (and at the end), independent
+                # of chunk size and of earlier --keep-going failures.
+                if checked - last_progress >= 25 or checked >= args.count:
+                    rate = checked / max(1e-9, time.time() - started)
+                    label = "ok" if not failures else "checked"
+                    print(f"  {checked}/{args.count} cases {label} ({rate:.1f}/s)")
+                    last_progress = checked
 
     elapsed = time.time() - started
     if args.json_report:

@@ -24,12 +24,13 @@ its stdin is a file holding every request line and its stdout a file of
 records, so it answers all pairs without this process driving it, and a
 server that dies or wedges is restarted on the pairs it left unanswered.
 A one-case batch is the smallest unit of native execution;
-:class:`GroupedBatchRunner` packs many units into shared batches as a
-lazy iterable yields them, keeps three groups in flight (one executing,
-two building), and bisects a group that fails to build (or whose object
-cannot be loaded) down to the case at fault.  A failed control-loop build
-is no case's fault: it is remembered for the process and charged to
-every case at once.
+:class:`GroupedBatchRunner` — the one native pipeline, shared by the
+scorer, the repair search and the fuzz oracle — packs many units into
+shared batches as a lazy iterable yields them, keeps three groups in
+flight (one executing, two building), and bisects a group that fails to
+build (or whose object cannot be loaded) down to the case at fault.  A
+failed control-loop build is no case's fault: it is remembered for the
+process and charged to every case at once.
 
 Batching shares one process across cases, so per-case symbols are made
 unique: the entry point and every global are renamed ``__caseN_<name>``
@@ -66,7 +67,6 @@ from pathlib import Path
 from typing import (
     Any,
     BinaryIO,
-    Callable,
     Deque,
     Dict,
     Iterable,
@@ -945,6 +945,11 @@ class NativeBatch:
     :class:`GroupedBatchRunner` bisects either down to the case at fault.
     A failed control-loop build (:class:`HarnessBuildError`) fails the
     batch at construction or launch and is never bisected.
+
+    A case brings its assembly (the fuzz oracle's, possibly rewritten by
+    its ``asm_transform``) or has it emitted from its context here.
+    Callers go through :class:`GroupedBatchRunner`, which constructs every
+    batch.
     """
 
     def __init__(
@@ -953,7 +958,6 @@ class NativeBatch:
         opt_level: str,
         workdir: Path,
         isa: str = "x86",
-        asm_transform: Optional[Callable[[str], str]] = None,
         run_timeout: float = 10.0,
         tag: str = "batch",
         cache=None,
@@ -993,8 +997,6 @@ class NativeBatch:
                 if case.assembly is not None
                 else context.assembly(isa, opt_level)
             )
-            if asm_transform is not None:
-                assembly = asm_transform(assembly)
             entry = _BatchEntry(case, context, _mangle(index, case.name))
             entry.globals = _assembly_globals(assembly)
             asm_parts.append(
@@ -1379,17 +1381,21 @@ class GroupedBatchRunner:
     """Cross-unit :class:`NativeBatch` groups, built and run in the background.
 
     A *unit* is a list of :class:`BatchCase` objects that must stay
-    together (the eval scorer's unit is one function's gate survivors; the
-    repair search's unit is one target's neighbor chunk).  Units are packed
-    greedily into shared batches of up to ``group_cases`` cases, so the
-    toolchain runs once per group instead of once per unit.
+    together: the eval scorer's unit is one function's gate survivors, the
+    repair search's unit is one target's neighbor chunk, and the fuzz
+    oracle's unit is one case's O0 and O3 legs on one backend.  All three
+    reach native execution through this runner.  Units are packed greedily
+    into shared batches of up to ``group_cases`` cases, so the toolchain
+    runs once per group instead of once per unit.
 
     :meth:`run` takes any iterable of units and pulls it lazily, so the
     caller's staging of later units overlaps native work: a group's build
     starts the moment the group is full.  The pipeline is three groups
     deep — groups 0 and 1 are staged and building, then for each group N
     the runner launches N's server, stages group N+2 and starts its
-    build, and only then collects N's records.  It yields
+    build, and only then collects N's records.  Once the units run out,
+    the servers of the groups still behind N start at once, so the last
+    groups execute side by side rather than one after another.  It yields
     ``(unit_index, outcomes)`` in unit order, with one
     :data:`CaseOutcomes` per case of the unit.  A group that fails to
     build or drain is halved, and each half rebuilt, until the failing
@@ -1510,14 +1516,17 @@ class GroupedBatchRunner:
     ) -> Iterator[Tuple[int, List[CaseOutcomes]]]:
         groups = enumerate(self._pack(units))
 
-        def stage() -> None:
-            """Pull the next group's units and start its build."""
+        def stage() -> bool:
+            """Pull the next group's units and start its build; False once
+            the units have run out."""
             packed = next(groups, None)
-            if packed is not None:
-                group_index, group = packed
-                cases = [case for _, unit in group for case in unit]
-                tag = f"{self.tag_prefix}{group_index}"
-                self._live.append((group, cases, tag, self._make_batch(cases, tag)))
+            if packed is None:
+                return False
+            group_index, group = packed
+            cases = [case for _, unit in group for case in unit]
+            tag = f"{self.tag_prefix}{group_index}"
+            self._live.append((group, cases, tag, self._make_batch(cases, tag)))
+            return True
 
         # Every live batch is tracked on the runner so that close() — or
         # this generator's own finally, which runs on GeneratorExit when
@@ -1530,7 +1539,12 @@ class GroupedBatchRunner:
                 group, cases, tag, batch = self._live[0]
                 if isinstance(batch, NativeBatch):
                     batch.launch()
-                stage()
+                if not stage():
+                    # Nothing is left to stage, so the groups behind this
+                    # one start their servers now and run alongside it.
+                    for _, _, _, later in self._live:
+                        if isinstance(later, NativeBatch):
+                            later.launch()
                 outcomes = self._drain(batch, cases, tag)
                 self._live.popleft()
                 cursor = 0

@@ -20,20 +20,27 @@ observation: every leg must trap for the comparison to pass.
 
 Each case's front half (parse → typecheck → lower) runs **once** and is
 shared by every leg and every input vector (:class:`CaseContext`).
-:meth:`Oracle.check_batch` executes the native legs of a whole batch of
-cases through :class:`repro.testing.native.NativeBatch` — one toolchain
-invocation and one fork server per backend instead of per case — which
-is where the fuzz pipeline's throughput comes from.
-:meth:`Oracle.check_case` is ``check_batch`` on a single case.
+:meth:`Oracle.check_batches` streams chunks of cases: each chunk's front
+half and reference legs run in :meth:`Oracle.prepare_batch`, its native
+legs go to one :class:`repro.testing.native.GroupedBatchRunner` per
+backend — the executor the scorer and the repair search use, which packs
+many cases into one toolchain invocation and one fork server, keeps three
+batches in flight, and bisects a batch that fails down to the case at
+fault — and :meth:`Oracle.finish_batch` compares.  :meth:`Oracle.check_batch`
+is one chunk, and :meth:`Oracle.check_case` one case.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import itertools
 import math
+import operator
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.sanitize import SanitizerBatch, SanitizerConfig
 from repro.analysis.verifier import IRVerificationError
@@ -56,6 +63,28 @@ def values_equal(left: Any, right: Any) -> bool:
             values_equal(left[k], right[k]) for k in left
         )
     return left == right
+
+
+def first_value_mismatch(reference: Any, other: Any) -> Optional[str]:
+    """The first observed value two finished runs disagree on, or None.
+
+    Both sides expose ``return_value``, ``arg_values`` and ``globals``: a
+    :class:`LegOutcome` here, an ``Observation`` in the scorer.  The answer
+    is ``"return_value"`` (not compared when the reference's is None),
+    ``"arg_values"`` or ``"globals[<key>]"``.  Native legs only observe
+    globals that appear in the assembly, so globals are compared on the
+    keys both sides report.  Status policy (traps, limits) is the caller's.
+    """
+    if reference.return_value is not None and not values_equal(
+        reference.return_value, other.return_value
+    ):
+        return "return_value"
+    if not values_equal(reference.arg_values, other.arg_values):
+        return "arg_values"
+    for key in sorted(reference.globals.keys() & other.globals.keys()):
+        if not values_equal(reference.globals[key], other.globals[key]):
+            return f"globals[{key}]"
+    return None
 
 
 @dataclass
@@ -145,19 +174,23 @@ CaseVerdict = Union[None, Divergence, Exception]
 
 @dataclass
 class PreparedBatch:
-    """In-flight state between :meth:`Oracle.prepare_batch` and
-    :meth:`Oracle.finish_batch`: native builds are compiling in the
-    background and the pure-Python reference legs have already run."""
+    """One chunk of cases between :meth:`Oracle.prepare_batch` and
+    :meth:`Oracle.finish_batch`: its front half and reference legs have
+    run, and its native legs are out at the runners."""
 
     cases: List[CaseLike]
     contexts: List[Optional[CaseContext]]
     verdicts: List[CaseVerdict]
+    #: The cases that reached execution.
     active: List[int]
-    batches: Dict[str, Tuple["native.NativeBatch", Dict[Tuple[int, str], int]]]
-    reference: Dict[int, List[List["LegOutcome"]]]
-    #: Why the native batches could not be set up; the batch is then
-    #: bisected in :meth:`Oracle.finish_batch`.
-    failure: Optional[Exception] = None
+    #: Per active case: the reference legs' outcomes, per input.
+    reference: Dict[int, List[List[LegOutcome]]]
+    #: Per case, one runner unit per native backend: the case's O0 and O3
+    #: cases, empty for a case that failed before execution.
+    units: List[Tuple[List["native.BatchCase"], ...]]
+    #: Per active case: its native outcomes in leg order, filled in as the
+    #: runners return them.
+    native: Dict[int, List["native.CaseOutcomes"]] = field(default_factory=dict)
 
 
 class Oracle:
@@ -165,9 +198,9 @@ class Oracle:
 
     ``backends`` selects the native legs: any subset of ``("x86", "arm")``.
     Unavailable toolchains are dropped automatically (``require_native=True``
-    turns that into an error instead).  ``asm_transform`` rewrites the
-    generated assembly before it is assembled — used to prove the harness
-    catches deliberately injected miscompiles.
+    turns that into an error instead).  ``asm_transform`` rewrites each
+    case's generated assembly before it is assembled — used to prove the
+    harness catches deliberately injected miscompiles.
 
     ``verify_ir`` (on by default) runs the typed-invariant verifier of
     :mod:`repro.analysis.verifier` after lowering and after every -O3 pass
@@ -179,11 +212,12 @@ class Oracle:
     :mod:`repro.analysis.sanitize` (requires the x86 toolchain); pass
     ``True`` for the default config or a :class:`SanitizerConfig`.
 
-    Native legs run on the fork server of
-    :class:`repro.testing.native.NativeBatch`: one batch per backend holds
-    both opt levels of every case.  A batch that fails to build or run is
-    bisected until the case at fault stands alone, and only that case gets
-    the failure as its verdict.
+    Native legs run through :class:`repro.testing.native.GroupedBatchRunner`,
+    one runner per backend, whose batches hold both opt levels of every
+    case.  The runner bisects a batch that fails to build or run until the
+    case at fault stands alone; only that case gets the failure as its
+    verdict (an :class:`OracleError`).  A failed control-loop build is
+    every case's, and the runner charges it to all of them at once.
     """
 
     def __init__(
@@ -192,13 +226,11 @@ class Oracle:
         workdir: Optional[Path] = None,
         asm_transform: Optional[Callable[[str], str]] = None,
         require_native: bool = False,
-        include_ir_leg: bool = True,
         verify_ir: bool = True,
         ir_transform=None,
         sanitize: Union[bool, SanitizerConfig, None] = None,
     ) -> None:
         self.asm_transform = asm_transform
-        self.include_ir_leg = include_ir_leg
         self.verify_ir = verify_ir
         self.ir_transform = ir_transform
         self.sanitizer_config: Optional[SanitizerConfig] = None
@@ -229,9 +261,7 @@ class Oracle:
             self.sanitizer_config = None
 
     def legs(self) -> List[str]:
-        names = ["interp"]
-        if self.include_ir_leg:
-            names.append("ir-O3")
+        names = ["interp", "ir-O3"]
         for backend in self.native_backends:
             names.extend([f"{backend}-O0", f"{backend}-O3"])
         return names
@@ -386,27 +416,13 @@ class Oracle:
             return "status"
         if reference.status != "ok":
             return None  # both trapped: equivalent observation
-        if reference.return_value is not None and not values_equal(
-            reference.return_value, other.return_value
-        ):
-            return "return_value"
-        if not values_equal(reference.arg_values, other.arg_values):
-            return "arg_values"
-        # Native legs only observe globals that appear in the assembly;
-        # compare the keys both sides report.
-        common = reference.globals.keys() & other.globals.keys()
-        for key in sorted(common):
-            if not values_equal(reference.globals[key], other.globals[key]):
-                return "globals"
-        return None
+        mismatch = first_value_mismatch(reference, other)
+        return None if mismatch is None else mismatch.partition("[")[0]
 
     def _reference_outcomes(
         self, context: CaseContext, args: Tuple
     ) -> List[LegOutcome]:
-        outcomes = [self._run_interp(context, args)]
-        if self.include_ir_leg:
-            outcomes.append(self._run_ir(context, args))
-        return outcomes
+        return [self._run_interp(context, args), self._run_ir(context, args)]
 
     def _first_divergence(
         self,
@@ -458,19 +474,75 @@ class Oracle:
 
         Returns one verdict per case, in order: ``None`` (all legs agree),
         a :class:`Divergence`, or the exception raised while building one of
-        the case's legs.
-
-        Internally this is :meth:`prepare_batch` + :meth:`finish_batch`;
-        callers that have a next batch ready can call them separately to
-        pipeline one batch's native builds under the next batch's Python
-        front half.
+        the case's legs.  This is :meth:`check_batches` on one chunk.
         """
-        return self.finish_batch(self.prepare_batch(cases))
+        (verdicts,) = self.check_batches([cases], max(1, len(cases)))
+        return verdicts
+
+    def check_batches(
+        self, chunks: Iterable[Sequence[CaseLike]], batch_size: int
+    ) -> Iterator[List[CaseVerdict]]:
+        """Each chunk's verdicts, as :meth:`check_batch` returns them.
+
+        ``chunks`` is pulled lazily, one :meth:`prepare_batch` per chunk.
+        Each backend's native legs go to one :class:`native.GroupedBatchRunner`
+        that packs ``2 * batch_size`` cases (a case's O0 and O3 legs) per
+        batch, and whose three-deep pipeline prepares later chunks while
+        earlier batches build and run; with two backends the runners are
+        driven in lockstep over one staged stream.  A chunk is finished
+        (:meth:`finish_batch`) once its last case's native legs are back.
+        Closing the iterator early kills every server and build in flight.
+        """
+        if not self.native_backends:
+            for cases in chunks:
+                yield self.finish_batch(self.prepare_batch(cases))
+            return
+        pending: collections.deque[PreparedBatch] = collections.deque()
+        # Per unit still out at the runners: its chunk, and its case's
+        # index there.  Entries go as results come back, so a finished
+        # chunk is not kept alive.
+        owners: Dict[int, Tuple[PreparedBatch, int]] = {}
+
+        def staged() -> Iterator[Tuple[List[native.BatchCase], ...]]:
+            first_unit = 0
+            for cases in chunks:
+                prepared = self.prepare_batch(cases)
+                pending.append(prepared)
+                for index in prepared.active:
+                    owners[first_unit + index] = (prepared, index)
+                first_unit += len(cases)
+                yield from prepared.units
+
+        self._batch_counter += 1
+        streams = itertools.tee(staged(), len(self.native_backends))
+        with contextlib.ExitStack() as stack:
+            runs = []
+            for position, backend in enumerate(self.native_backends):
+                runner = stack.enter_context(
+                    native.GroupedBatchRunner(
+                        "mix",
+                        self.workdir,
+                        isa=backend,
+                        group_cases=2 * batch_size,
+                        tag_prefix=f"batch{self._batch_counter}_{position}_",
+                    )
+                )
+                runs.append(runner.run(map(operator.itemgetter(position), streams[position])))
+            # A case that never reached execution has an empty unit on every
+            # backend, which every runner skips: each step, all runners
+            # yield the same unit.
+            for results in zip(*runs):
+                prepared, index = owners.pop(results[0][0])
+                prepared.native[index] = [leg for _, outcomes in results for leg in outcomes]
+                while pending and len(pending[0].native) == len(pending[0].active):
+                    yield self.finish_batch(pending.popleft())
+        while pending:
+            yield self.finish_batch(pending.popleft())
 
     def prepare_batch(self, cases: Sequence[CaseLike]) -> PreparedBatch:
         """Front half of :meth:`check_batch`: parse, verify, lower and emit
-        every case, launch the native builds asynchronously, and run the
-        pure-Python reference legs while those builds compile."""
+        every case, run the pure-Python reference legs, and set out each
+        case's native legs as one runner unit per backend."""
         contexts: List[Optional[CaseContext]] = []
         verdicts: List[CaseVerdict] = []
         for case in cases:
@@ -502,128 +574,83 @@ class Oracle:
                 if verdict is not None:
                     verdicts[index] = verdict
 
-        # Compile every native leg of every case up front; a case whose
+        # Emit every native leg of every case up front; a case whose
         # assembly cannot be emitted gets its exception as the verdict and
-        # drops out of the batch.
-        assemblies: Dict[Tuple[int, str, str], str] = {}
+        # never reaches execution.
+        def emit(context: CaseContext, backend: str, opt: str) -> str:
+            assembly = context.assembly(backend, opt)
+            return assembly if self.asm_transform is None else self.asm_transform(assembly)
+
+        units = [tuple([] for _ in self.native_backends)] * len(cases)
         for index, context in enumerate(contexts):
             if context is None or verdicts[index] is not None:
                 continue
+            case = cases[index]
             try:
-                for backend in self.native_backends:
-                    for opt in ("O0", "O3"):
-                        assemblies[(index, backend, opt)] = context.assembly(
-                            backend, opt
+                units[index] = tuple(
+                    [
+                        native.BatchCase(
+                            case.source,
+                            case.name,
+                            list(case.inputs),
+                            context,
+                            emit(context, backend, opt),
                         )
+                        for opt in ("O0", "O3")
+                    ]
+                    for backend in self.native_backends
+                )
             except IRVerificationError as exc:
                 verdicts[index] = self._verifier_divergence(
-                    cases[index].source,
-                    cases[index].name,
-                    list(cases[index].inputs),
-                    exc,
+                    case.source, case.name, list(case.inputs), exc
                 )
             except Exception as exc:
                 verdicts[index] = exc
 
         active = [
             index
-            for index in range(len(contexts))
-            if contexts[index] is not None and verdicts[index] is None
+            for index, context in enumerate(contexts)
+            if context is not None and verdicts[index] is None
         ]
-
-        # One batch binary per backend holds BOTH opt levels (entries are
-        # interleaved per case), halving the build/run subprocesses again.
-        # Constructing a NativeBatch only *launches* its build — every
-        # backend's compiler runs concurrently in the background from here.
-        prepared = PreparedBatch(list(cases), contexts, verdicts, active, {}, {})
-        try:
-            for backend in self.native_backends:
-                batch_cases: List[native.BatchCase] = []
-                position: Dict[Tuple[int, str], int] = {}
-                for index in active:
-                    for opt in ("O0", "O3"):
-                        position[(index, opt)] = len(batch_cases)
-                        batch_cases.append(
-                            native.BatchCase(
-                                source=cases[index].source,
-                                name=cases[index].name,
-                                inputs=list(cases[index].inputs),
-                                context=contexts[index],
-                                assembly=assemblies[(index, backend, opt)],
-                            )
-                        )
-                self._batch_counter += 1
-                batch = native.NativeBatch(
-                    batch_cases,
-                    "mix",
-                    self.workdir,
-                    isa=backend,
-                    asm_transform=self.asm_transform,
-                    tag=f"batch{self._batch_counter}",
-                )
-                prepared.batches[backend] = (batch, position)
-        except native.BATCH_FAILURES as exc:  # e.g. the control-loop object
-            prepared.failure = exc
-            return prepared
-
-        # The pure-Python reference legs run while the native builds
-        # compile — this is the compile-while-execute pipeline.
-        for index in active:
-            context = contexts[index]
-            assert context is not None
-            prepared.reference[index] = [
-                self._reference_outcomes(context, args)
-                for args in list(cases[index].inputs)
-            ]
-        return prepared
-
-    def _native_legs(
-        self, prepared: PreparedBatch
-    ) -> Dict[int, List[List[LegOutcome]]]:
-        """Every active case's native outcomes, per input, in leg order."""
-        legs: Dict[int, List[List[LegOutcome]]] = {}
-        for index in prepared.active:
-            legs[index] = [
-                [
-                    self._batch_outcome_to_leg(
-                        batch.outcome(position[(index, opt)], input_index),
-                        f"{backend}-{opt}",
-                    )
-                    for backend, (batch, position) in prepared.batches.items()
-                    for opt in ("O0", "O3")
-                ]
-                for input_index in range(len(prepared.cases[index].inputs))
-            ]
-        return legs
+        reference = {
+            index: [self._reference_outcomes(contexts[index], args) for args in cases[index].inputs]
+            for index in active
+        }
+        # Execution and comparison read only the source, the types and the
+        # assembly: a chunk waiting in the native pipeline holds no IR.
+        for context in contexts:
+            if context is not None:
+                context.release_ir()
+        return PreparedBatch(list(cases), contexts, verdicts, active, reference, units)
 
     def finish_batch(self, prepared: PreparedBatch) -> List[CaseVerdict]:
-        """Back half of :meth:`check_batch`: collect every (case, input)
-        pair's record from the fork servers (launching any not yet
-        launched), compare, and run the sanitizer leg over the still-clean
-        cases."""
+        """Back half of :meth:`check_batch`: compare each executed case's
+        native outcomes with its reference legs, then run the sanitizer leg
+        over the still-clean cases."""
         cases = prepared.cases
         contexts = prepared.contexts
         verdicts = prepared.verdicts
-        failure = prepared.failure
-        try:
-            if failure is None:
-                native_legs = self._native_legs(prepared)
-        except native.BATCH_FAILURES as exc:
-            failure = exc
-        finally:
-            for batch, _ in prepared.batches.values():
-                batch.close()
-        if failure is not None:
-            return self._bisect(prepared, failure)
-
+        native_legs = self.legs()[2:]
         for index in prepared.active:
             context = contexts[index]
             assert context is not None
+            outcomes = prepared.native.get(index, [])  # none without a backend
+            failure = next((leg for leg in outcomes if isinstance(leg, Exception)), None)
+            if failure is not None:
+                verdicts[index] = _native_failure(failure)
+                continue
+            inputs = list(cases[index].inputs)
             verdicts[index] = self._first_divergence(
                 context,
-                list(cases[index].inputs),
+                inputs,
                 prepared.reference[index],
-                native_legs[index],
+                [
+                    [
+                        self._batch_outcome_to_leg(leg_outcomes[input_index], leg)
+                        for leg, leg_outcomes in zip(native_legs, outcomes)
+                    ]
+                    for input_index in range(len(inputs))
+                ],
             )
 
         # Instrumented C leg, last: report-only, so IO divergences keep
@@ -639,31 +666,14 @@ class Oracle:
                 verdicts[clean[position]] = verdict
         return verdicts
 
-    def _bisect(
-        self, prepared: PreparedBatch, failure: Exception
-    ) -> List[CaseVerdict]:
-        """Attribute a failed native batch: re-check each half of its cases
-        until the failing case stands alone and gets the failure.  A failed
-        control-loop build is every case's, so it is never bisected."""
-        active = prepared.active
-        verdicts = prepared.verdicts
-        if not active:
-            return verdicts
-        if len(active) == 1 or isinstance(failure, native.HarnessBuildError):
-            stderr = getattr(failure, "stderr", None) or b""
-            if isinstance(stderr, bytes):
-                stderr = stderr.decode("utf-8", "replace")
-            for index in active:
-                verdicts[index] = OracleError(
-                    f"native leg failed: {stderr[-2000:] or failure}"
-                )
-            return verdicts
-        half = len(active) // 2
-        for part in (active[:half], active[half:]):
-            part_verdicts = self.check_batch([prepared.cases[index] for index in part])
-            for index, verdict in zip(part, part_verdicts):
-                verdicts[index] = verdict
-        return verdicts
+
+def _native_failure(failure: Exception) -> OracleError:
+    """A case's verdict when the runner charged it a build or run failure:
+    the toolchain's stderr (its tail), else the failure itself."""
+    stderr = getattr(failure, "stderr", None) or b""
+    if isinstance(stderr, bytes):
+        stderr = stderr.decode("utf-8", "replace")
+    return OracleError(f"native leg failed: {stderr[-2000:] or failure}")
 
 
 @dataclass

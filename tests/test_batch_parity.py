@@ -9,7 +9,9 @@ whole process group, the grouped runner pulls its units lazily with at
 most three batches live, and a group that fails to build is bisected
 until only the case at fault is charged.  It also pins that verdicts do
 not depend on how cases are batched (``Oracle.check_case`` is a batch of
-one) or sharded (``--jobs N``).
+one) or sharded (``--jobs N``), and that the oracle's verdict stream
+keeps input order, drives two backends in lockstep and reaps every batch
+when its reader stops early.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.testing.fuzz import FuzzConfig, case_seed, run_campaign
+from repro.testing.fuzz import FuzzConfig, case_seed, run_campaign, strip_reextension
 from repro.testing.generator import generate_case
 from repro.testing.oracle import Oracle
 
@@ -70,13 +72,131 @@ def test_check_batch_matches_check_case_without_native_legs():
         assert sequential is None and batched is None
 
 
-def test_check_batch_reports_parse_errors_per_case():
-    oracle = Oracle(backends=())
+def _break_bad(ir_func) -> None:
+    """Inject the verifier-caught IR miscompile into functions named bad*."""
+    if ir_func.name.startswith("bad"):
+        strip_reextension(ir_func)
+
+
+def _verdict_kind(verdict) -> str:
+    if verdict is None:
+        return "clean"
+    if isinstance(verdict, Exception):
+        return type(verdict).__name__
+    return f"{verdict.category}:{verdict.name}"
+
+
+def _assert_verdicts_in_input_order(backends) -> None:
+    """Cases that fail before execution (a parse error, a verifier
+    divergence) interleaved with clean ones: every verdict comes back at
+    its case's position, in one chunk or in chunks whose executed cases
+    share native batches across chunk boundaries."""
+    oracle = Oracle(backends=backends, ir_transform=_break_bad)
+    assert oracle.legs()[2:] == [f"{b}-{opt}" for b in backends for opt in ("O0", "O3")]
     good = generate_case(case_seed(3, 0), max_stmts=6)
-    bad = _Case("int f( {", "f", [(1,)])
-    verdicts = oracle.check_batch([good, bad, good])
-    assert verdicts[0] is None and verdicts[2] is None
-    assert isinstance(verdicts[1], Exception)
+    unparseable = _Case("int f( {", "f", [(1,)])
+    broken = _Case("int bad(int a) { char c = a; return c + 1; }", "bad", [(5,)])
+    clean = _Case("int g(int a) {\n    return a + 1;\n}\n", "g", [(1,), (41,)])
+    expected_kinds = [
+        (good, "clean"),
+        (unparseable, "ParseError"),
+        (clean, "clean"),
+        (broken, "ir-verifier:bad"),
+        (good, "clean"),
+        (unparseable, "ParseError"),
+        (broken, "ir-verifier:bad"),
+        (clean, "clean"),
+        (good, "clean"),
+    ]
+    cases = [case for case, _ in expected_kinds]
+    expected = [kind for _, kind in expected_kinds]
+    verdicts = oracle.check_batch(cases)
+    assert [_verdict_kind(verdict) for verdict in verdicts] == expected
+    chunked = oracle.check_batches([cases[start : start + 2] for start in range(0, 9, 2)], 2)
+    assert [_verdict_kind(v) for chunk in chunked for v in chunk] == expected
+
+
+def test_check_batch_reports_parse_errors_per_case():
+    _assert_verdicts_in_input_order(())
+
+
+@needs_toolchain
+def test_check_batch_reports_parse_errors_per_case_with_native_legs():
+    _assert_verdicts_in_input_order(("x86",))
+
+
+@needs_toolchain
+def test_two_backends_are_driven_in_lockstep_over_one_staged_stream(monkeypatch):
+    """With two native backends (``--backend both``) every chunk is
+    prepared once, each group is built once per backend, and the verdicts
+    are one backend's.  This host runs one ISA, so x86 stands in for both."""
+    from repro.testing import native
+
+    built, prepared = [], []
+    original_init = native.NativeBatch.__init__
+    original_prepare = Oracle.prepare_batch
+
+    def recording_init(self, cases, *args, **kwargs):
+        built.append(len(cases))
+        original_init(self, cases, *args, **kwargs)
+
+    def recording_prepare(self, cases):
+        prepared.append(len(cases))
+        return original_prepare(self, cases)
+
+    monkeypatch.setattr(native.NativeBatch, "__init__", recording_init)
+    monkeypatch.setattr(Oracle, "prepare_batch", recording_prepare)
+    cases = [generate_case(case_seed(0, index), max_stmts=8) for index in range(12)]
+    oracle = Oracle(backends=("x86", "x86"), asm_transform=_swap_first_addl)
+    chunks = [cases[start : start + 4] for start in range(0, 12, 4)]
+    both = [verdict for chunk in oracle.check_batches(chunks, 4) for verdict in chunk]
+    assert prepared == [4, 4, 4]
+    assert len(built) == 6 and sorted(built) == sorted(built[:3] * 2)
+    one = Oracle(backends=("x86",), asm_transform=_swap_first_addl).check_batch(cases)
+
+    def shape(verdict):
+        if verdict is None or isinstance(verdict, Exception):
+            return _verdict_kind(verdict)
+        return (verdict.input_index, verdict.diverging_leg, verdict.field)
+
+    assert [shape(verdict) for verdict in both] == [shape(verdict) for verdict in one]
+    assert any(verdict is not None for verdict in one)
+
+
+@needs_toolchain
+def test_closing_the_verdict_stream_early_reaps_every_batch(tmp_path, monkeypatch):
+    """The sequential fuzz CLI stops reading verdicts at a divergence.
+    Closing the stream after its first chunk, with later batches staged
+    and building, leaves no fork server, no running build and no live
+    batch."""
+    from repro.testing import native
+
+    batches, started = [], []
+    original_init = native.NativeBatch.__init__
+    real_popen = native.subprocess.Popen
+
+    def recording_init(self, *args, **kwargs):
+        batches.append(self)
+        original_init(self, *args, **kwargs)
+
+    def recording_popen(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(native.NativeBatch, "__init__", recording_init)
+    monkeypatch.setattr(native.subprocess, "Popen", recording_popen)
+    oracle = Oracle(backends=("x86",), workdir=tmp_path)
+    chunks = (
+        [generate_case(case_seed(7, start + index), max_stmts=6) for index in range(4)]
+        for start in range(0, 40, 4)
+    )
+    stream = oracle.check_batches(chunks, 4)
+    assert len(next(stream)) == 4
+    assert len(batches) == 3  # one drained, two staged behind it
+    stream.close()
+    assert all(batch._closed and batch._build_proc is None for batch in batches)
+    assert all(batch._server is None for batch in batches)
+    assert started and all(proc.poll() is not None for proc in started)
 
 
 @needs_toolchain

@@ -6,10 +6,10 @@ On x86 that build links the one executable of the run; each batch is a
 libc-free shared object the server ``dlopen``s, and the first batch to
 launch joins the control-loop build.  These tests pin the ways that can
 go wrong: threads racing to build the same control loop, a compiler that
-fails (every batch must come back as ``compile_error``, charged once,
-with nothing hung or orphaned), a batch object that cannot be loaded, and
-``--jobs`` pool workers that would build, and leak, a harness dir of
-their own.
+fails (every batch, scored or fuzzed, must come back as a build failure,
+charged once, with nothing hung or orphaned), a batch object that cannot
+be loaded, and ``--jobs`` pool workers that would build, and leak, a
+harness dir of their own.
 """
 
 import os
@@ -25,6 +25,7 @@ from repro.eval.dataset import generated_entries
 from repro.eval.mutate import Mutator
 from repro.eval.score import score_entry_sets
 from repro.testing import native
+from repro.testing.fuzz import FuzzConfig, run_campaign
 from repro.testing.native import (
     BatchCase,
     GroupedBatchRunner,
@@ -115,11 +116,9 @@ def test_racing_threads_compile_the_harness_once(tmp_path, fresh_harness):
     assert native._harness_builds == {}
 
 
-def _assert_charged_once(started, message):
+def _score_grid(message):
     """Score a small grid: every candidate past the gate must read
-    ``compile_error`` with ``message``, after one control-loop build and
-    at most one batch build (no bisection, no rebuild), with every
-    process reaped."""
+    ``compile_error`` with ``message``."""
     entries = generated_entries(5, 2, max_stmts=6, isas=("x86",), opt_levels=("O0",))
     sets = [Mutator(entry.seed).candidates(entry, 4) for entry in entries]
     scores = score_entry_sets(entries, sets, backend="x86")
@@ -133,6 +132,23 @@ def _assert_charged_once(started, message):
     for score in executed:
         assert score.verdict == "compile_error"
         assert message in score.detail
+
+
+def _fuzz_campaign(message):
+    """Fuzz one batch of cases: every case must read ``build-error`` with
+    ``message``."""
+    results = run_campaign(FuzzConfig(), 5, 6)
+    assert len(results) == 6
+    for result in results:
+        assert result.status == "build-error"
+        assert message in result.detail
+
+
+def _assert_charged_once(started, message, judge):
+    """Run ``judge``, which checks that every executed case was charged
+    ``message``: that must take one control-loop build and at most one
+    batch build (no bisection, no rebuild), with every process reaped."""
+    judge(message)
     gcc_runs = _gcc_runs(started)
     assert len(gcc_runs) <= 2
     assert len([argv for argv in gcc_runs if _is_harness_build(argv)]) == 1
@@ -144,16 +160,31 @@ def _assert_charged_once(started, message):
 
 def test_failing_harness_compile_is_a_compile_error(fresh_harness, monkeypatch):
     monkeypatch.setattr(native, "_FORK_HARNESS_C", "#error broken control loop\n")
-    _assert_charged_once(fresh_harness, "broken control loop")
+    _assert_charged_once(fresh_harness, "broken control loop", _score_grid)
 
 
-def test_a_toolchain_that_fails_every_build_is_charged_once(tmp_path, fresh_harness, monkeypatch):
+def test_failing_harness_compile_is_a_build_error_when_fuzzing(fresh_harness, monkeypatch):
+    monkeypatch.setattr(native, "_FORK_HARNESS_C", "#error broken control loop\n")
+    _assert_charged_once(fresh_harness, "broken control loop", _fuzz_campaign)
+
+
+def _fail_every_gcc_run(tmp_path, monkeypatch) -> None:
+    """Put a ``gcc`` that fails every build first on ``PATH``."""
     shim = tmp_path / "bin"
     shim.mkdir()
     (shim / "gcc").write_text('#!/bin/sh\necho "injected toolchain failure" >&2\nexit 1\n')
     (shim / "gcc").chmod(0o755)
     monkeypatch.setenv("PATH", f"{shim}{os.pathsep}{os.environ['PATH']}")
-    _assert_charged_once(fresh_harness, "injected toolchain failure")
+
+
+def test_a_toolchain_that_fails_every_build_is_charged_once(tmp_path, fresh_harness, monkeypatch):
+    _fail_every_gcc_run(tmp_path, monkeypatch)
+    _assert_charged_once(fresh_harness, "injected toolchain failure", _score_grid)
+
+
+def test_a_failing_toolchain_is_charged_once_when_fuzzing(tmp_path, fresh_harness, monkeypatch):
+    _fail_every_gcc_run(tmp_path, monkeypatch)
+    _assert_charged_once(fresh_harness, "injected toolchain failure", _fuzz_campaign)
 
 
 def test_a_build_stopped_at_exit_leaves_no_temp_file(tmp_path, fresh_harness, monkeypatch):
