@@ -57,7 +57,13 @@ class CompiledFunction:
     opt_level: str
     assembly: str
     source: str
-    ir_text: str = field(default="", repr=False)
+    #: The IR the assembly was emitted from.
+    ir_func: Optional[ir.IRFunction] = field(default=None, repr=False, compare=False)
+
+    @property
+    def ir_text(self) -> str:
+        """The three-address IR, for debugging (rendered on access)."""
+        return "" if self.ir_func is None else str(self.ir_func)
 
     def __str__(self) -> str:
         return self.assembly
@@ -363,7 +369,7 @@ def emit_from_lowered(
         opt_level=lowered.opt_level,
         assembly=assembly,
         source=lowered.source,
-        ir_text=str(ir_func),
+        ir_func=ir_func,
     )
 
 

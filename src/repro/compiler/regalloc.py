@@ -112,11 +112,10 @@ def linear_scan(
     """Allocate registers with the classic linear-scan algorithm.
 
     Spilled virtual registers get fresh slots added to ``func.slots``.
+    With no registers to hand out (-O0), every vreg spills, in the order
+    the scan would meet it — parameters first, then by first appearance —
+    and the live ranges are never computed.
     """
-    ranges = compute_live_ranges(func)
-    active: List[Tuple[LiveRange, str]] = []
-    free_int = list(int_registers)
-    free_float = list(float_registers)
     register_of: Dict[ir.VReg, str] = {}
     spill_slot_of: Dict[ir.VReg, str] = {}
 
@@ -141,6 +140,22 @@ def linear_scan(
             size = 8 if reg.is_float else max(1, reg.bits // 8)
             func.add_slot(slot_name, size)
         spill_slot_of[reg] = slot_name
+
+    if not int_registers and not float_registers:
+        order = dict.fromkeys(func.params)
+        for instr in func.instrs:
+            for reg in instr.defs():
+                order.setdefault(reg)
+            for reg in instr.uses():
+                order.setdefault(reg)
+        for reg in order:
+            spill(reg)
+        return Allocation(register_of, spill_slot_of)
+
+    ranges = compute_live_ranges(func)
+    active: List[Tuple[LiveRange, str]] = []
+    free_int = list(int_registers)
+    free_float = list(float_registers)
 
     for live in ranges:
         expire(live.start)

@@ -193,7 +193,8 @@ def _all_results(
 
 def _campaign_worker(payload) -> List[CaseResult]:
     config, base_seed, indices = payload
-    return _all_results(build_oracle(config), config, base_seed, indices)
+    with build_oracle(config) as oracle:
+        return _all_results(oracle, config, base_seed, indices)
 
 
 def run_campaign(
@@ -207,13 +208,16 @@ def run_campaign(
 
     With ``jobs > 1`` the indices are striped round-robin over a process
     pool; every case's verdict depends only on its seed, so the aggregated
-    result list is byte-identical to a single-process run.
+    result list is byte-identical to a single-process run.  An ``oracle``
+    passed in stays the caller's to close; one built here is closed here.
     """
     indices = list(range(count))
     start_fork_harnesses(config.backends)
     if jobs <= 1:
-        working_oracle = oracle if oracle is not None else build_oracle(config)
-        return _all_results(working_oracle, config, base_seed, indices)
+        if oracle is not None:
+            return _all_results(oracle, config, base_seed, indices)
+        with build_oracle(config) as own:
+            return _all_results(own, config, base_seed, indices)
     shards = [indices[worker::jobs] for worker in range(jobs)]
     payloads = [(config, base_seed, shard) for shard in shards if shard]
     prepare_fork_harnesses(config.backends)
@@ -379,6 +383,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    with oracle:
+        return _run(args, config, oracle)
+
+
+def _run(args: argparse.Namespace, config: FuzzConfig, oracle: Oracle) -> int:
+    """The campaign the command line asked for, on ``oracle``."""
     print(f"legs: {', '.join(oracle.legs())}")
     if len(oracle.legs()) < 2:
         print(

@@ -10,12 +10,14 @@ trapping pair kills only its child, and the server keeps answering
 without any re-exec.  The control loop is generic C built **once per
 process**, in the background: every native entry point calls
 :func:`start_fork_harnesses` as it begins.  On x86 that build links the
-only executable of the run, and each batch is a shared object holding no
-libc, crt or control-loop code — a small table TU (the cases, their
-globals, and a C call stub for each signature too wide for the argument
-registers) plus the concatenated assembly — which the server ``dlopen``s.
-The ARM leg links the control-loop object into each batch statically and
-runs it under one ``qemu-aarch64`` process.
+only executable of the run and the only gcc run of it.  Each x86 batch is
+a shared object holding no libc, crt or control-loop code: the cases'
+assembly and their table (the cases and their globals, emitted as
+data-only assembly), put together by one ``as`` and one ``ld``, which
+the server ``dlopen``s.  The ARM leg compiles a C table (with a C call
+stub for each signature too wide for the argument registers), links the
+control-loop object into each batch statically and runs it under one
+``qemu-aarch64`` process.
 
 Builds and execution both run in the background.  The build starts when
 the batch is constructed; :meth:`NativeBatch.launch` joins it (and, the
@@ -83,24 +85,36 @@ from repro.testing.frontend import CaseContext
 
 
 def have_native_toolchain() -> bool:
-    """True when the host can assemble and run x86-64 code."""
-    return (
-        platform.machine() in ("x86_64", "AMD64")
-        and shutil.which("as") is not None
-        and shutil.which("gcc") is not None
+    """True when the host can assemble and run x86-64 code: ``gcc`` builds
+    the control loop, ``as`` and ``ld`` build every batch."""
+    return platform.machine() in ("x86_64", "AMD64") and all(
+        shutil.which(tool) is not None for tool in ("gcc", "as", "ld")
     )
 
 
 _toolchain_ids: Dict[str, str] = {}
 
 
-def _toolchain_id(isa: str) -> str:
-    """Compiler identity folded into artifact-cache keys (once per process).
+def _version_line(tool: str) -> str:
+    """The first line of ``tool --version``, or the tool's name."""
+    try:
+        proc = subprocess.run(
+            [tool, "--version"], capture_output=True, text=True, timeout=30
+        )
+        return proc.stdout.splitlines()[0] if proc.stdout else tool
+    except (OSError, subprocess.TimeoutExpired, IndexError):
+        return tool
 
-    A compiler upgrade changes the emitted harness ABI/code, so cached
+
+def _toolchain_id(isa: str) -> str:
+    """Toolchain identity folded into artifact-cache keys (once per process).
+
+    A toolchain upgrade changes the emitted harness ABI/code, so cached
     binaries keyed under the old identity become unreachable rather than
-    stale.  ``platform.machine()`` rides along because the same cache
-    directory may be shared across differently-architected runners.
+    stale.  On x86 binutils builds the batch and gcc the control loop it
+    is loaded into, so all three versions count.  ``platform.machine()``
+    rides along because the same cache directory may be shared across
+    differently-architected runners.
     """
     cached = _toolchain_ids.get(isa)
     if cached is not None:
@@ -109,14 +123,10 @@ def _toolchain_id(isa: str) -> str:
         cc = _arm_cross_compiler() or "missing-arm-cc"
     else:
         cc = "gcc"
-    try:
-        proc = subprocess.run(
-            [cc, "--version"], capture_output=True, text=True, timeout=30
-        )
-        version = proc.stdout.splitlines()[0] if proc.stdout else cc
-    except (OSError, subprocess.TimeoutExpired, IndexError):
-        version = cc
-    identity = f"{platform.machine()}:{cc}:{version}"
+    versions = [_version_line(cc)]
+    if isa == "x86":
+        versions += [_version_line("as"), _version_line("ld")]
+    identity = ":".join([platform.machine(), cc, *versions])
     _toolchain_ids[isa] = identity
     return identity
 
@@ -268,17 +278,29 @@ def _assembly_globals(assembly: str) -> List[Tuple[str, int]]:
     return found
 
 
+#: The x86 batch build: one ``as`` over the cases' assembly and the table
+#: (``$3``, ``$4``) into the object ``$1``, then a shared link into ``$2``.
+#: ``exec`` hands the shell's pid to ``ld``, and the whole build runs in a
+#: process group of its own, so one ``killpg`` stops it at either step.
+_X86_BUILD_SCRIPT = 'as --64 -o "$1" "$3" "$4" && exec ld -shared -Bsymbolic -o "$2" "$1"'
+
+
 def _build_command(isa: str, binary: Path, sources: Sequence[Path]) -> List[str]:
     """The command that builds one batch's ``binary`` from ``sources``.
 
-    On x86 that is a shared object holding only the batch: no libc, crt or
-    control-loop code, so building it is a compile and a small link, and
-    ``-Bsymbolic`` binds the cases' calls to their own definitions.  On ARM
-    it is a static executable with the control-loop object linked in.
+    On x86 ``sources`` are the cases' assembly and the data-only assembly
+    table, and the product is a shared object holding only the batch: no
+    libc, crt or control-loop code.  ``as`` and ``ld`` alone build it, with
+    no compiler driver, ``cc1`` or ``collect2``, and ``-Bsymbolic`` binds
+    the cases' calls to their own definitions.  The table's callers
+    (``mc_call_registers``, and ``mc_call_wide`` for signatures too wide
+    for it) are left for the loader to resolve against the control loop.
+    On ARM ``sources`` are the C table and the assembly, compiled into a
+    static executable with the control-loop object linked in.
     """
     if isa == "x86":
-        shared = ["-shared", "-nostdlib", "-fPIC", "-Wl,-Bsymbolic"]
-        return ["gcc", *shared, "-o", str(binary), *map(str, sources)]
+        obj = binary.with_suffix(".o")
+        return ["sh", "-c", _X86_BUILD_SCRIPT, "sh", str(obj), str(binary), *map(str, sources)]
     sources = [_forkserver_harness(isa), *sources]
     if platform.machine() != "aarch64":
         cc = _arm_cross_compiler()
@@ -365,7 +387,9 @@ def _rename_case_symbols(assembly: str, index: int, names: Sequence[str]) -> str
 # ---------------------------------------------------------------------------
 
 #: Shared declarations between the precompiled control loop and the
-#: generated per-batch table.  Repeated verbatim in both TUs.
+#: generated ARM table TU, repeated verbatim in both.  The x86 table is
+#: assembly laid out to match: an ``mc_case`` is 48 bytes and an
+#: ``mc_global`` 24 (the x86 control loop asserts both).
 _FORK_TABLE_DEFS = """\
 typedef union { long long i; double d; } mc_val;
 typedef struct { const char *name; unsigned char *addr; long size; } mc_global;
@@ -385,27 +409,83 @@ void mc_call_registers(const mc_case *c, const mc_val *args, mc_val *ret);
 #: The x86 control loop's exit status when it cannot load its batch object.
 _LOAD_FAILED = 3
 
+#: Integer-class and double parameters ``mc_call_registers`` passes.
+_REGISTER_ARGS = 6
+
+#: What ``mc_call_wide`` passes (x86 only): SysV x86-64's six integer and
+#: eight SSE argument registers, then this many 8-byte stack slots.
+_WIDE_INT_REGS = 6
+_WIDE_DOUBLE_REGS = 8
+_WIDE_STACK_SLOTS = 16
+
+_WIDE_PARAMS = ", ".join(
+    ["long long"] * _WIDE_INT_REGS
+    + ["double"] * _WIDE_DOUBLE_REGS
+    + ["long long"] * _WIDE_STACK_SLOTS
+)
+_WIDE_ARGS = ", ".join(
+    [f"ia[{j}]" for j in range(_WIDE_INT_REGS)]
+    + [f"da[{j}]" for j in range(_WIDE_DOUBLE_REGS)]
+    + [f"s[{j}]" for j in range(_WIDE_STACK_SLOTS)]
+)
+
+#: The x86 control loop's caller for every signature too wide for
+#: ``mc_call_registers``.  SysV x86-64 passes the first six integer-class
+#: arguments and the first eight doubles in registers and every later one
+#: in an 8-byte stack slot, in parameter order; its prototype fills all
+#: fourteen registers and then the slots, so the callee finds each
+#: argument where its own prototype puts it.  A double's slot holds the
+#: double's bits, exactly as a double-typed slot would.
+_CALL_WIDE_C = f"""\
+_Static_assert(sizeof(mc_case) == 48 && sizeof(mc_global) == 24,
+               "the assembly case table's layout");
+typedef long long (*mc_wide_ifn)({_WIDE_PARAMS});
+typedef double (*mc_wide_dfn)({_WIDE_PARAMS});
+
+void mc_call_wide(const mc_case *c, const mc_val *a, mc_val *r) {{
+    long long ia[{_WIDE_INT_REGS}] = {{0}}, s[{_WIDE_STACK_SLOTS}] = {{0}};
+    double da[{_WIDE_DOUBLE_REGS}] = {{0}};
+    int ni = 0, nd = 0, ns = 0;
+    for (int j = 0; j < c->nargs; j++) {{
+        if (c->kinds[j] == 'd' && nd < {_WIDE_DOUBLE_REGS})
+            da[nd++] = a[j].d;
+        else if (c->kinds[j] != 'd' && ni < {_WIDE_INT_REGS})
+            ia[ni++] = a[j].i;
+        else if (ns < {_WIDE_STACK_SLOTS})
+            s[ns++] = a[j].i;
+    }}
+    if (c->ret_kind == 2)
+        r->d = ((mc_wide_dfn)c->fn)({_WIDE_ARGS});
+    else if (c->ret_kind == 1)
+        r->i = ((mc_wide_ifn)c->fn)({_WIDE_ARGS});
+    else
+        ((mc_wide_ifn)c->fn)({_WIDE_ARGS});
+}}
+"""
+
 #: The generic control loop, built once per (ISA, process).  On x86 it is
 #: linked into an executable (``-DMC_DLOPEN``) that ``dlopen``s the batch's
 #: shared object named by its second argument and reads that object's
-#: ``mc_cases`` table through ``dlsym``; the object calls back into the
-#: exported ``mc_call_registers``.  An object it cannot load makes it print
-#: the loader's message and exit with ``MC_LOAD_FAILED`` before it reads any
-#: request.  On ARM it is compiled into an object file that every batch
-#: links statically against its table.  The parent never runs case code:
-#: it parses one request line into an argument array sized by the case's
-#: table row, ``fork()``s, and the child calls the case through the call
-#: stub its row names.
+#: ``mc_cases`` table through ``dlsym``; the table's rows name the callers
+#: the executable exports, ``mc_call_registers`` and ``mc_call_wide``.  An
+#: object it cannot load makes it print the loader's message and exit with
+#: ``MC_LOAD_FAILED`` before it reads any request.  On ARM it is compiled
+#: into an object file that every batch links statically against its C
+#: table; everything under ``MC_DLOPEN`` is x86's alone, so the ARM object
+#: does not change with it.  The parent never runs case code: it parses
+#: one request line into an argument array sized by the case's table row,
+#: ``fork()``s, and the child calls the case through the caller its row
+#: names.
 #:
-#: ``mc_call_registers`` is the stub of every signature whose parameters
+#: ``mc_call_registers`` is the caller of every signature whose parameters
 #: travel in registers: at most six integer-class and six double
 #: parameters.  Both SysV x86-64 and AAPCS64 assign integer-class and FP
 #: argument registers in order and independently of each other, so the
 #: callee finds each argument exactly where the 12-argument prototype puts
-#: it, and the unused argument registers hold zeros.  Wider signatures get
-#: a stub generated into the batch's table (:func:`_call_stub`): compiling
-#: any function there costs every build several milliseconds, which the
-#: common case should not pay.
+#: it, and the unused argument registers hold zeros.  A wider signature
+#: goes through ``mc_call_wide`` on x86 (up to ``_WIDE_STACK_SLOTS``
+#: stack-passed arguments; a wider one is charged to its case) and through
+#: a C stub generated into the batch's table on ARM (:func:`_call_stub`).
 _FORK_HARNESS_C = (
     """\
 #include <errno.h>
@@ -430,6 +510,10 @@ _FORK_HARNESS_C = (
 #ifdef MC_DLOPEN
 static const mc_case *mc_cases;
 static int mc_case_count;
+
+"""
+    + _CALL_WIDE_C
+    + """
 
 /* 1 when every loadable segment of the ELF object at path lies inside the
    file.  dlopen maps a truncated object without complaint, and the first
@@ -655,21 +739,34 @@ class HarnessBuildError(subprocess.CalledProcessError):
     """
 
 
+def _stop_build(proc: subprocess.Popen) -> Tuple[bytes, bytes]:
+    """Stop a build that runs in a process group of its own, reap it and
+    return its output.
+
+    SIGTERM reaches the whole group: the gcc driver deletes its temp files
+    on SIGTERM, while SIGKILL left a ``cc*.s`` in ``TMPDIR`` and ``cc1``
+    running on, and a shell's ``as`` would outlive a kill of the shell
+    alone.  A group that lingers past 5 s is SIGKILLed.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGTERM)
+    except OSError:
+        pass
+    try:
+        return proc.communicate(timeout=5)
+    except subprocess.TimeoutExpired:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:
+            proc.kill()
+        return proc.communicate()
+
+
 def _discard_harnesses(directory: Path) -> None:
     """At exit: stop and reap any build still running, then remove the
-    harness dir.
-
-    The build runs in its own process group, and SIGTERM reaches all of
-    it: the gcc driver deletes its temp files on SIGTERM, while SIGKILL
-    left a ``cc*.s`` in ``TMPDIR`` and ``cc1`` running on.
-    """
+    harness dir."""
     for proc, _ in list(_harness_builds.values()):
-        try:
-            os.killpg(proc.pid, signal.SIGTERM)
-            proc.wait(timeout=5)
-        except (OSError, subprocess.TimeoutExpired):
-            proc.kill()
-            proc.wait()
+        _stop_build(proc)
     _harness_builds.clear()
     shutil.rmtree(directory, ignore_errors=True)
 
@@ -735,8 +832,7 @@ def _forkserver_harness(isa: str) -> Path:
         try:
             stdout, stderr = proc.communicate(timeout=120)
         except subprocess.TimeoutExpired:
-            proc.kill()
-            stdout, stderr = proc.communicate()
+            stdout, stderr = _stop_build(proc)
         if proc.returncode != 0:
             _harness_failures[isa] = HarnessBuildError(proc.returncode, proc.args, stdout, stderr)
             _raise_harness_failure(isa)
@@ -800,24 +896,20 @@ def _forkserver_ret_kind(return_type: ct.CType) -> int:
     return 1
 
 
-#: Integer-class and double parameters ``mc_call_registers`` passes.
-_REGISTER_ARGS = 6
-
-
 def _kinds(param_types: Sequence[ct.CType]) -> str:
     """Per parameter: ``d`` for a double, ``i`` for integer-class."""
     return "".join("d" if isinstance(t, ct.FloatType) else "i" for t in param_types)
 
 
 def _call_stub(name: str, kinds: str, ret_kind: int) -> str:
-    """The C call stub for cases whose signature is too wide for
-    ``mc_call_registers``.
+    """The ARM table's C call stub for cases whose signature is too wide
+    for ``mc_call_registers``.
 
     The stub casts the case's entry point to its prototype, so the
-    compiler applies the ABI — stack-passed arguments included — on both
-    ISAs.  Cases of one signature share a stub.  Trailing zero arguments
-    pad a class that has fewer than six parameters up to six, so unused
-    argument registers hold zeros here too.
+    compiler applies the ABI, stack-passed arguments included.  Cases of
+    one signature share a stub.  Trailing zero arguments pad a class that
+    has fewer than six parameters up to six, so unused argument registers
+    hold zeros here too.
     """
     ints = kinds.count("i")
     padded = (
@@ -835,6 +927,115 @@ def _call_stub(name: str, kinds: str, ret_kind: int) -> str:
         f"static void {name}(const mc_case *c, const mc_val *a, mc_val *r) "
         f"{{ {body} }}"
     )
+
+
+@dataclass
+class _TableRow:
+    """One ``mc_cases`` row: what the control loop needs to call a case
+    and dump its globals.  :func:`_c_table` renders the rows as ARM's C
+    table, :func:`_asm_table` as x86's data-only assembly."""
+
+    symbol: str  # the case's mangled entry point
+    caller: str  # mc_call_registers, mc_call_wide (x86) or a C stub (ARM)
+    kinds: str  # per parameter: "i" integer-class, "d" double
+    ret_kind: int  # 0 void, 1 integer, 2 double
+    globals: List[Tuple[str, str, int]]  # (name, mangled symbol, size)
+
+
+def _caller(
+    isa: str, name: str, kinds: str, ret_kind: int, stubs: Dict[Tuple[str, int], str]
+) -> str:
+    """The caller of a case with parameters ``kinds``: ``mc_call_registers``
+    when they all travel in registers, else ``mc_call_wide`` on x86 and on
+    ARM a C stub per signature, named in ``stubs`` on first use.
+
+    A signature that needs more stack slots than ``mc_call_wide`` passes
+    raises :class:`BatchExecutionError`, which the runner bisects down to
+    the case.
+    """
+    ints = kinds.count("i")
+    doubles = len(kinds) - ints
+    if ints <= _REGISTER_ARGS and doubles <= _REGISTER_ARGS:
+        return "mc_call_registers"
+    if isa == "x86":
+        slots = max(0, ints - _WIDE_INT_REGS) + max(0, doubles - _WIDE_DOUBLE_REGS)
+        if slots > _WIDE_STACK_SLOTS:
+            raise BatchExecutionError(
+                f"{name}: its {len(kinds)} parameters need {slots} stack slots, "
+                f"past the x86 caller's limit of {_WIDE_STACK_SLOTS}"
+            )
+        return "mc_call_wide"
+    if (kinds, ret_kind) not in stubs:
+        stubs[(kinds, ret_kind)] = f"mc_call_{len(stubs)}"
+    return stubs[(kinds, ret_kind)]
+
+
+def _c_table(rows: Sequence[_TableRow]) -> str:
+    """The ARM table: a C TU compiled and linked with the control loop,
+    holding each signature's call stub before the first case that uses
+    it."""
+    lines = [_FORK_TABLE_DEFS]
+    stubs = {"mc_call_registers"}
+    cells: List[str] = []
+    for index, row in enumerate(rows):
+        if row.caller not in stubs:
+            stubs.add(row.caller)
+            lines.append(_call_stub(row.caller, row.kinds, row.ret_kind))
+        lines.append(f"extern void {row.symbol}(void);")
+        for _, symbol, _ in row.globals:
+            lines.append(f"extern unsigned char {symbol}[];")
+        if row.globals:
+            globals_cells = ", ".join(
+                f'{{ "{name}", {symbol}, {size} }}' for name, symbol, size in row.globals
+            )
+            lines.append(
+                f"static const mc_global mc_globals_{index}[] = {{ {globals_cells} }};"
+            )
+        globals_ref = f"mc_globals_{index}" if row.globals else "0"
+        cells.append(
+            f'    {{ {row.caller}, {row.symbol}, "{row.kinds}", {row.ret_kind}, '
+            f"{len(row.kinds)}, {len(row.globals)}, {globals_ref} }},"
+        )
+    lines.append("const mc_case mc_cases[] = {")
+    lines.extend(cells)
+    lines.append("};")
+    lines.append(f"const int mc_case_count = {len(rows)};")
+    return "\n".join(lines) + "\n"
+
+
+def _asm_table(rows: Sequence[_TableRow]) -> str:
+    """The x86 table: data-only assembly laid out as the control loop's
+    ``mc_case`` rows (48 bytes: three pointers, three ints and padding, a
+    pointer) and ``mc_global`` cells (24 bytes), with each case's kinds
+    string and global names.  Its ``.Lmc_`` labels cannot meet the cases'
+    renamed ``.Lc<N>_`` labels in the one ``as`` run that reads both."""
+    data = ["\t.section\t.rodata"]
+    for index, row in enumerate(rows):
+        data.append(f'.Lmc_kinds{index}:\n\t.string\t"{row.kinds}"')
+        for cell, (name, _, _) in enumerate(row.globals):
+            data.append(f'.Lmc_name{index}_{cell}:\n\t.string\t"{name}"')
+    data.append("\t.p2align\t2\n\t.globl\tmc_case_count\n\t.type\tmc_case_count, @object")
+    data.append(f"\t.size\tmc_case_count, 4\nmc_case_count:\n\t.long\t{len(rows)}")
+    # Pointers to symbols need load-time relocation: read-only after it.
+    data.append('\t.section\t.data.rel.ro,"aw"\n\t.p2align\t3')
+    for index, row in enumerate(rows):
+        if row.globals:
+            data.append(f".Lmc_globals{index}:")
+            data.extend(
+                f"\t.quad\t.Lmc_name{index}_{cell}, {symbol}, {size}"
+                for cell, (_, symbol, size) in enumerate(row.globals)
+            )
+    data.append("\t.globl\tmc_cases\n\t.type\tmc_cases, @object")
+    data.append(f"\t.size\tmc_cases, {48 * len(rows)}\nmc_cases:")
+    for index, row in enumerate(rows):
+        globals_ref = f".Lmc_globals{index}" if row.globals else "0"
+        data.append(
+            f"\t.quad\t{row.caller}, {row.symbol}, .Lmc_kinds{index}\n"
+            f"\t.long\t{row.ret_kind}, {len(row.kinds)}, {len(row.globals)}, 0\n"
+            f"\t.quad\t{globals_ref}"
+        )
+    data.append('\t.section\t.note.GNU-stack,"",@progbits')
+    return "\n".join(data) + "\n"
 
 
 def _request_token(value: Any, ptype: ct.CType, buf: Optional[_Buffer]) -> str:
@@ -918,13 +1119,18 @@ class _ForkServer:
 class NativeBatch:
     """Many cases, one build per (ISA, opt level), one fork server per leg.
 
-    The build holds a generated table — the cases, their globals, and a
-    call stub for each signature too wide for the argument registers — and
-    the cases' assembly.  On x86 it is a libc-free shared object
+    The build holds the cases' assembly and a generated table: one row per
+    case naming its entry point, its caller, its parameter kinds, its
+    return kind and its globals (:class:`_TableRow`).  On x86 the table is
+    data-only assembly, every signature too wide for the argument
+    registers goes through the control loop's ``mc_call_wide``, and one
+    ``as`` plus one ``ld`` build a libc-free shared object
     (``<tag>_x86_<opt>.so``) that the process-wide control loop loads by
-    absolute path; on ARM it is a static executable with the control loop
-    linked in.  The server forks per (case, input) request, and each child
-    calls its case's stub and dumps the observable state.  Children
+    absolute path: no batch build runs gcc.  On ARM the table is C, with a
+    call stub per wide signature, and gcc links it, the assembly and the
+    control loop into a static executable.  The server forks per (case,
+    input) request, and each child calls its case through its row's
+    caller and dumps the observable state.  Children
     inherit pristine globals by copy-on-write, so no snapshot or restore is
     needed, and a trap costs one dead child instead of a process relaunch.
 
@@ -945,6 +1151,11 @@ class NativeBatch:
     :class:`GroupedBatchRunner` bisects either down to the case at fault.
     A failed control-loop build (:class:`HarnessBuildError`) fails the
     batch at construction or launch and is never bisected.
+
+    A case whose signature needs more stack slots than ``mc_call_wide``
+    passes fails the batch at construction, and the runner bisects it
+    down to that case.  The build runs in a process group of its own, so
+    :meth:`close` stops all of it at once.
 
     A case brings its assembly (the fuzz oracle's, possibly rewritten by
     its ``asm_transform``) or has it emitted from its context here.
@@ -1011,10 +1222,11 @@ class NativeBatch:
         asm_text = "\n".join(asm_parts)
         stem = f"{tag}_{isa}_{opt_level}"
         self.binary = workdir / (stem + ".so" if isa == "x86" else stem)
-        # The table is produced even on a cache hit: _generate_table also
-        # encodes the request lines and argument buffers execution needs,
-        # and its text is part of the cache key.
-        table = self._generate_table()
+        # The table is rendered even on a cache hit: its text is part of
+        # the cache key.
+        rows = self._table_rows()
+        table = _asm_table(rows) if isa == "x86" else _c_table(rows)
+        self._encode_requests()
         if cache is not None:
             # The product kind is keyed too: an x86 entry holds a shared
             # object, never an executable cached by a static-link build.
@@ -1027,12 +1239,19 @@ class NativeBatch:
                 return
         asm_path = workdir / f"{stem}.s"
         asm_path.write_text(asm_text)
-        table_path = workdir / f"{stem}_table.c"
+        if isa == "x86":
+            # Two files, never one joined string: the case text is the
+            # batch's largest allocation.
+            table_path = workdir / f"{stem}_table.s"
+            sources = [asm_path, table_path]
+        else:
+            table_path = workdir / f"{stem}_table.c"
+            sources = [table_path, asm_path]
         table_path.write_text(table)
-        build = _build_command(isa, self.binary, [table_path, asm_path])
+        build = _build_command(isa, self.binary, sources)
         self._build_cmd = build
         self._build_proc = subprocess.Popen(
-            build, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+            build, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True
         )
 
     def ensure_built(self) -> None:
@@ -1052,8 +1271,7 @@ class NativeBatch:
                     timeout=batch_build_timeout(self.run_timeout, len(self._pairs))
                 )
             except subprocess.TimeoutExpired:
-                proc.kill()
-                stdout, stderr = proc.communicate()
+                stdout, stderr = _stop_build(proc)
             if proc.returncode != 0:
                 self._build_error = subprocess.CalledProcessError(
                     proc.returncode, self._build_cmd, stdout, stderr
@@ -1070,7 +1288,9 @@ class NativeBatch:
         """Release every live child process owned by this batch.
 
         Kills the in-flight fork server's process group (server plus any
-        forked child) and reaps a still-running asynchronous build.  After
+        forked child) and stops a still-running asynchronous build's
+        process group (``as`` or ``ld`` on x86, gcc and its passes on ARM)
+        and reaps it.  After
         closing, :meth:`outcome` raises :class:`BatchExecutionError` —
         results already drained remain readable by whoever holds them.
         Idempotent, and safe to call from a thread other than the one
@@ -1083,8 +1303,7 @@ class NativeBatch:
         if server is not None:
             server.kill()
         if self._build_proc is not None:
-            self._build_proc.kill()
-            self._build_proc.communicate()
+            _stop_build(self._build_proc)
             self._build_proc = None
             self._build_error = BatchExecutionError("batch abandoned")
 
@@ -1104,52 +1323,27 @@ class NativeBatch:
         except Exception:
             pass
 
-    # -- C generation --------------------------------------------------------
+    # -- table and requests ----------------------------------------------------
 
-    def _generate_table(self) -> str:
-        """The per-batch table TU linked against the control loop.
-
-        Also encodes every (case, input) pair into its request line and
-        records the argument buffers the results are decoded against.
-        """
-        lines = [_FORK_TABLE_DEFS]
+    def _table_rows(self) -> List[_TableRow]:
+        """The batch's ``mc_cases`` rows, one per case in batch order."""
+        rows: List[_TableRow] = []
         stubs: Dict[Tuple[str, int], str] = {}
-        rows: List[str] = []
         for index, entry in enumerate(self.entries):
-            context = entry.context
-            kinds = _kinds(context.param_types())
-            ret_kind = _forkserver_ret_kind(context.return_type())
-            ints = kinds.count("i")
-            if ints <= _REGISTER_ARGS and len(kinds) - ints <= _REGISTER_ARGS:
-                stub = "mc_call_registers"
-            else:
-                if (kinds, ret_kind) not in stubs:
-                    stubs[(kinds, ret_kind)] = f"mc_call_{len(stubs)}"
-                    lines.append(_call_stub(stubs[(kinds, ret_kind)], kinds, ret_kind))
-                stub = stubs[(kinds, ret_kind)]
-            lines.append(f"extern void {entry.symbol}(void);")
-            for gname, _ in entry.globals:
-                lines.append(f"extern unsigned char {_mangle(index, gname)}[];")
-            if entry.globals:
-                cells = ", ".join(
-                    f'{{ "{gname}", {_mangle(index, gname)}, {gsize} }}'
-                    for gname, gsize in entry.globals
-                )
-                lines.append(
-                    f"static const mc_global mc_globals_{index}[] = {{ {cells} }};"
-                )
-            globals_ref = f"mc_globals_{index}" if entry.globals else "0"
-            rows.append(
-                f'    {{ {stub}, {entry.symbol}, "{kinds}", {ret_kind}, '
-                f"{len(kinds)}, {len(entry.globals)}, {globals_ref} }},"
-            )
-        lines.append("const mc_case mc_cases[] = {")
-        lines.extend(rows)
-        lines.append("};")
-        lines.append(f"const int mc_case_count = {len(self.entries)};")
+            kinds = _kinds(entry.context.param_types())
+            ret_kind = _forkserver_ret_kind(entry.context.return_type())
+            caller = _caller(self.isa, entry.case.name, kinds, ret_kind, stubs)
+            cells = [(name, _mangle(index, name), size) for name, size in entry.globals]
+            rows.append(_TableRow(entry.symbol, caller, kinds, ret_kind, cells))
+        return rows
 
-        # Requests are emitted in flat-pair order: cases in batch order,
-        # each case's input vectors in order — exactly ``self._pairs``.
+    def _encode_requests(self) -> None:
+        """Encode every (case, input) pair into its request line and record
+        the argument buffers the results are decoded against.
+
+        Requests are in flat-pair order: cases in batch order, each case's
+        input vectors in order — exactly ``self._pairs``.
+        """
         self._requests = []
         for case_index, entry in enumerate(self.entries):
             param_types = entry.context.param_types()
@@ -1165,7 +1359,6 @@ class NativeBatch:
                 self._requests.append(
                     " ".join(["R", str(case_index), str(len(tokens)), *tokens]) + "\n"
                 )
-        return "\n".join(lines) + "\n"
 
     # -- execution -----------------------------------------------------------
 

@@ -218,6 +218,9 @@ class Oracle:
     case at fault stands alone; only that case gets the failure as its
     verdict (an :class:`OracleError`).  A failed control-loop build is
     every case's, and the runner charges it to all of them at once.
+
+    Without a ``workdir`` the oracle makes a temp dir of its own, which
+    :meth:`close` removes; the oracle is a context manager for that.
     """
 
     def __init__(
@@ -238,11 +241,6 @@ class Oracle:
             self.sanitizer_config = (
                 sanitize if isinstance(sanitize, SanitizerConfig) else SanitizerConfig()
             )
-        self._tmp: Optional[tempfile.TemporaryDirectory] = None
-        if workdir is None:
-            self._tmp = tempfile.TemporaryDirectory(prefix="minic-fuzz-")
-            workdir = Path(self._tmp.name)
-        self.workdir = Path(workdir)
         self._batch_counter = 0
         self.native_backends: List[str] = []
         for backend in [b for b in backends if b]:
@@ -259,6 +257,26 @@ class Oracle:
             if require_native:
                 raise OracleError("no host toolchain for the sanitizer leg")
             self.sanitizer_config = None
+        # Made last, so a refused configuration leaves no directory behind.
+        self._tmp: Optional[tempfile.TemporaryDirectory] = None
+        if workdir is None:
+            self._tmp = tempfile.TemporaryDirectory(prefix="minic-fuzz-")
+            workdir = Path(self._tmp.name)
+        self.workdir = Path(workdir)
+
+    def close(self) -> None:
+        """Remove the work dir the oracle made for itself (a ``workdir``
+        the caller passed stays the caller's).  Idempotent; the oracle
+        runs no native leg after it."""
+        if self._tmp is not None:
+            self._tmp.cleanup()
+            self._tmp = None
+
+    def __enter__(self) -> "Oracle":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     def legs(self) -> List[str]:
         names = ["interp", "ir-O3"]

@@ -91,29 +91,29 @@ def _assert_verdicts_in_input_order(backends) -> None:
     divergence) interleaved with clean ones: every verdict comes back at
     its case's position, in one chunk or in chunks whose executed cases
     share native batches across chunk boundaries."""
-    oracle = Oracle(backends=backends, ir_transform=_break_bad)
-    assert oracle.legs()[2:] == [f"{b}-{opt}" for b in backends for opt in ("O0", "O3")]
-    good = generate_case(case_seed(3, 0), max_stmts=6)
-    unparseable = _Case("int f( {", "f", [(1,)])
-    broken = _Case("int bad(int a) { char c = a; return c + 1; }", "bad", [(5,)])
-    clean = _Case("int g(int a) {\n    return a + 1;\n}\n", "g", [(1,), (41,)])
-    expected_kinds = [
-        (good, "clean"),
-        (unparseable, "ParseError"),
-        (clean, "clean"),
-        (broken, "ir-verifier:bad"),
-        (good, "clean"),
-        (unparseable, "ParseError"),
-        (broken, "ir-verifier:bad"),
-        (clean, "clean"),
-        (good, "clean"),
-    ]
-    cases = [case for case, _ in expected_kinds]
-    expected = [kind for _, kind in expected_kinds]
-    verdicts = oracle.check_batch(cases)
-    assert [_verdict_kind(verdict) for verdict in verdicts] == expected
-    chunked = oracle.check_batches([cases[start : start + 2] for start in range(0, 9, 2)], 2)
-    assert [_verdict_kind(v) for chunk in chunked for v in chunk] == expected
+    with Oracle(backends=backends, ir_transform=_break_bad) as oracle:
+        assert oracle.legs()[2:] == [f"{b}-{opt}" for b in backends for opt in ("O0", "O3")]
+        good = generate_case(case_seed(3, 0), max_stmts=6)
+        unparseable = _Case("int f( {", "f", [(1,)])
+        broken = _Case("int bad(int a) { char c = a; return c + 1; }", "bad", [(5,)])
+        clean = _Case("int g(int a) {\n    return a + 1;\n}\n", "g", [(1,), (41,)])
+        expected_kinds = [
+            (good, "clean"),
+            (unparseable, "ParseError"),
+            (clean, "clean"),
+            (broken, "ir-verifier:bad"),
+            (good, "clean"),
+            (unparseable, "ParseError"),
+            (broken, "ir-verifier:bad"),
+            (clean, "clean"),
+            (good, "clean"),
+        ]
+        cases = [case for case, _ in expected_kinds]
+        expected = [kind for _, kind in expected_kinds]
+        verdicts = oracle.check_batch(cases)
+        assert [_verdict_kind(verdict) for verdict in verdicts] == expected
+        chunked = oracle.check_batches([cases[start : start + 2] for start in range(0, 9, 2)], 2)
+        assert [_verdict_kind(v) for chunk in chunked for v in chunk] == expected
 
 
 def test_check_batch_reports_parse_errors_per_case():
@@ -147,12 +147,13 @@ def test_two_backends_are_driven_in_lockstep_over_one_staged_stream(monkeypatch)
     monkeypatch.setattr(native.NativeBatch, "__init__", recording_init)
     monkeypatch.setattr(Oracle, "prepare_batch", recording_prepare)
     cases = [generate_case(case_seed(0, index), max_stmts=8) for index in range(12)]
-    oracle = Oracle(backends=("x86", "x86"), asm_transform=_swap_first_addl)
     chunks = [cases[start : start + 4] for start in range(0, 12, 4)]
-    both = [verdict for chunk in oracle.check_batches(chunks, 4) for verdict in chunk]
+    with Oracle(backends=("x86", "x86"), asm_transform=_swap_first_addl) as oracle:
+        both = [verdict for chunk in oracle.check_batches(chunks, 4) for verdict in chunk]
     assert prepared == [4, 4, 4]
     assert len(built) == 6 and sorted(built) == sorted(built[:3] * 2)
-    one = Oracle(backends=("x86",), asm_transform=_swap_first_addl).check_batch(cases)
+    with Oracle(backends=("x86",), asm_transform=_swap_first_addl) as oracle:
+        one = oracle.check_batch(cases)
 
     def shape(verdict):
         if verdict is None or isinstance(verdict, Exception):
@@ -655,6 +656,29 @@ def test_grouped_runner_close_mid_iteration_leaves_no_process(monkeypatch):
             continue
     assert not [pid for pid in pgids + members if _pid_alive(pid)]
     assert all(proc is None or proc.returncode is not None for proc in builds)
+
+
+def test_oracles_leave_no_work_dir_to_the_finalizer():
+    """The oracle tests above close what they open: under ``-X dev`` with
+    ``ResourceWarning`` as an error, no temp dir is left for the garbage
+    collector to clean up."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    command = [
+        sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+        "-m", "pytest", "-p", "no:cacheprovider",
+        "-W", "error::pytest.PytestUnraisableExceptionWarning",
+        str(Path(__file__)), "-k", "parse_errors or lockstep or closing",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 0, output
+    assert "ResourceWarning" not in output
 
 
 @needs_toolchain

@@ -2,14 +2,16 @@
 background, and never outlives the run.
 
 Every native entry point starts building the control loop as it begins.
-On x86 that build links the one executable of the run; each batch is a
-libc-free shared object the server ``dlopen``s, and the first batch to
+On x86 that build links the one executable of the run and is the only
+gcc run of it; each batch is a libc-free shared object, built by ``as``
+and ``ld`` alone, that the server ``dlopen``s, and the first batch to
 launch joins the control-loop build.  These tests pin the ways that can
-go wrong: threads racing to build the same control loop, a compiler that
-fails (every batch, scored or fuzzed, must come back as a build failure,
-charged once, with nothing hung or orphaned), a batch object that cannot
-be loaded, and ``--jobs`` pool workers that would build, and leak, a
-harness dir of their own.
+go wrong: threads racing to build the same control loop, a compiler,
+assembler or linker that fails (every batch, scored or fuzzed, must come
+back as a build failure, charged once, with nothing hung or orphaned), a
+batch build stopped midway, a batch object that cannot be loaded, and
+``--jobs`` pool workers that would build, and leak, a harness dir of
+their own.
 """
 
 import os
@@ -56,6 +58,20 @@ def _gcc_runs(started):
 
 def _is_executable_link(argv) -> bool:
     return not {"-c", "-S", "-E", "-shared"} & set(map(str, argv))
+
+
+def _programs(argv):
+    """The programs a command runs: for ``sh -c SCRIPT``, the first word
+    of each ``&&``-joined command of the script (``exec`` dropped)."""
+    if list(argv[:2]) != ["sh", "-c"]:
+        return [str(argv[0])]
+    commands = [command.split() for command in argv[2].split("&&")]
+    return [words[1] if words[0] == "exec" else words[0] for words in commands]
+
+
+def _batch_builds(started):
+    """The x86 batch builds among ``started``: one ``as``, then one ``ld``."""
+    return [proc.args for proc in started if _programs(proc.args) == ["as", "ld"]]
 
 
 @pytest.fixture
@@ -110,9 +126,12 @@ def test_racing_threads_compile_the_harness_once(tmp_path, fresh_harness):
         ("ok", 3 * index) for index in range(4)
     ]
     assert len(_control_loop_builds(fresh_harness)) == 1
-    # The control loop is the one executable linked; batches are objects.
-    links = [argv for argv in _gcc_runs(fresh_harness) if _is_executable_link(argv)]
-    assert len(links) == 1 and _is_harness_build(links[0])
+    # The control loop is the one executable linked and the one gcc run;
+    # every batch is an object that as and ld build.
+    gcc_runs = _gcc_runs(fresh_harness)
+    assert len(gcc_runs) == 1 and _is_harness_build(gcc_runs[0])
+    assert _is_executable_link(gcc_runs[0])
+    assert len(_batch_builds(fresh_harness)) == 4
     assert native._harness_builds == {}
 
 
@@ -146,12 +165,13 @@ def _fuzz_campaign(message):
 
 def _assert_charged_once(started, message, judge):
     """Run ``judge``, which checks that every executed case was charged
-    ``message``: that must take one control-loop build and at most one
-    batch build (no bisection, no rebuild), with every process reaped."""
+    ``message``: that must take one control-loop build, the only gcc run,
+    and at most one batch build (no bisection, no rebuild), with every
+    process reaped."""
     judge(message)
     gcc_runs = _gcc_runs(started)
-    assert len(gcc_runs) <= 2
-    assert len([argv for argv in gcc_runs if _is_harness_build(argv)]) == 1
+    assert len(gcc_runs) == 1 and _is_harness_build(gcc_runs[0])
+    assert len(_batch_builds(started)) <= 1
     assert isinstance(native._harness_failures["x86"], native.HarnessBuildError)
     # Every process started was reaped; none is still compiling.
     assert all(proc.returncode is not None for proc in started)
@@ -168,23 +188,71 @@ def test_failing_harness_compile_is_a_build_error_when_fuzzing(fresh_harness, mo
     _assert_charged_once(fresh_harness, "broken control loop", _fuzz_campaign)
 
 
-def _fail_every_gcc_run(tmp_path, monkeypatch) -> None:
-    """Put a ``gcc`` that fails every build first on ``PATH``."""
+def _shim(tmp_path, monkeypatch, tool: str, script: str) -> None:
+    """Put an executable ``tool`` running ``script`` first on ``PATH``."""
     shim = tmp_path / "bin"
-    shim.mkdir()
-    (shim / "gcc").write_text('#!/bin/sh\necho "injected toolchain failure" >&2\nexit 1\n')
-    (shim / "gcc").chmod(0o755)
+    shim.mkdir(exist_ok=True)
+    (shim / tool).write_text(f"#!/bin/sh\n{script}\n")
+    (shim / tool).chmod(0o755)
     monkeypatch.setenv("PATH", f"{shim}{os.pathsep}{os.environ['PATH']}")
 
 
-def test_a_toolchain_that_fails_every_build_is_charged_once(tmp_path, fresh_harness, monkeypatch):
-    _fail_every_gcc_run(tmp_path, monkeypatch)
+_FAIL = 'echo "injected toolchain failure" >&2\nexit 1'
+
+#: A failing gcc breaks the control loop; a failing ``as`` or ``ld`` breaks
+#: every batch build and, through gcc's own use of them, the control loop.
+_TOOLS = ["gcc", "as", "ld"]
+
+
+@pytest.mark.parametrize("tool", _TOOLS)
+def test_a_toolchain_that_fails_every_build_is_charged_once(
+    tmp_path, fresh_harness, monkeypatch, tool
+):
+    _shim(tmp_path, monkeypatch, tool, _FAIL)
     _assert_charged_once(fresh_harness, "injected toolchain failure", _score_grid)
 
 
-def test_a_failing_toolchain_is_charged_once_when_fuzzing(tmp_path, fresh_harness, monkeypatch):
-    _fail_every_gcc_run(tmp_path, monkeypatch)
+@pytest.mark.parametrize("tool", _TOOLS)
+def test_a_failing_toolchain_is_charged_once_when_fuzzing(
+    tmp_path, fresh_harness, monkeypatch, tool
+):
+    _shim(tmp_path, monkeypatch, tool, _FAIL)
     _assert_charged_once(fresh_harness, "injected toolchain failure", _fuzz_campaign)
+
+
+def _group_members(pgid):
+    """Pids of the live (non-zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            fields = (Path("/proc") / entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def test_closing_a_batch_mid_build_stops_the_whole_build(tmp_path, monkeypatch):
+    # An assembler that runs a child of its own and never finishes.
+    _shim(tmp_path, monkeypatch, "as", "sleep 60\nexit 1")
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    batch = NativeBatch([BatchCase("int f(int a) { return a; }", "f", [(1,)])], "O0", workdir)
+    build = batch._build_proc
+    assert _programs(build.args) == ["as", "ld"]
+    deadline = time.monotonic() + 30
+    while len(_group_members(build.pid)) < 3 and time.monotonic() < deadline:
+        time.sleep(0.01)  # the shell, the assembler and its sleep
+    assert len(_group_members(build.pid)) >= 3, "the build never reached as"
+    started = time.monotonic()
+    batch.close()
+    assert time.monotonic() - started < 5
+    assert build.returncode is not None and batch._build_proc is None
+    deadline = time.monotonic() + 10
+    while _group_members(build.pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _group_members(build.pid) == []
 
 
 def test_a_build_stopped_at_exit_leaves_no_temp_file(tmp_path, fresh_harness, monkeypatch):
@@ -242,29 +310,36 @@ def test_the_runner_bisects_an_unloadable_object_to_its_cases(tmp_path, fresh_ha
         assert isinstance(failure, subprocess.CalledProcessError)
         assert failure.returncode == native._LOAD_FAILED
     # One group of three, bisected into [f0] and [f1, f2], then [f1], [f2]:
-    # every batch built once and its server started once, with no restarts.
-    builds = [argv for argv in _gcc_runs(fresh_harness) if "-shared" in argv]
+    # every batch built once, by as and ld, and its server started once,
+    # with no restarts.  The control loop is the only gcc run.
+    builds = _batch_builds(fresh_harness)
     servers = [proc for proc in fresh_harness if str(proc.args[-1]).endswith(".so")]
     assert len(builds) == len(servers) == 5
+    gcc_runs = _gcc_runs(fresh_harness)
+    assert len(gcc_runs) == 1 and _is_harness_build(gcc_runs[0])
 
 
 #: Runs one CLI with ``subprocess.Popen`` wrapped, in this process and the
-#: pool workers it forks, to log every gcc run to a file: whose build it is
-#: (the control loop's or a batch's) and what it produces.
+#: pool workers it forks, to log every build to a file: whose build it is
+#: (the control loop's or a batch's) and what runs it.
 _LOGGING_CLI = """
 import subprocess, sys
 real_popen = subprocess.Popen
 def logging_popen(args, *rest, **kwargs):
+    entry = None
     if args[0] == "gcc" and "--version" not in args:
         owner = "harness" if any(str(a).endswith("forkserver_x86.c") for a in args) else "batch"
         if {"-c", "-S", "-E"} & set(args):
-            kind = "compile"
-        elif "-shared" in args:
-            kind = "shared -nostdlib" if "-nostdlib" in args else "shared"
+            entry = f"{owner} gcc compile"
         else:
-            kind = "link"
+            entry = f"{owner} gcc {'shared' if '-shared' in args else 'link'}"
+    elif list(args[:2]) == ["sh", "-c"]:
+        commands = [command.split() for command in args[2].split("&&")]
+        programs = [words[1] if words[0] == "exec" else words[0] for words in commands]
+        entry = "batch " + " + ".join(programs)
+    if entry is not None:
         with open(sys.argv[1], "a") as log:
-            log.write(f"{owner} {kind}\\n")
+            log.write(entry + "\\n")
     return real_popen(args, *rest, **kwargs)
 subprocess.Popen = logging_popen
 from repro.eval import repair, score
@@ -291,9 +366,9 @@ def test_pool_workers_inherit_the_joined_harness(tmp_path, cli, args):
     env = dict(os.environ, PYTHONPATH=str(_SRC), TMPDIR=str(temp))
     subprocess.run(command, env=env, check=True, capture_output=True, timeout=300)
     runs = log.read_text().splitlines()
-    # Exactly one executable is linked across parent and workers: the
-    # control loop.  Every batch is a libc-free shared object.
-    assert runs.count("harness link") == 1
-    batch_builds = [run for run in runs if run != "harness link"]
-    assert batch_builds and set(batch_builds) == {"batch shared -nostdlib"}
+    # gcc runs once across parent and workers, to link the control loop.
+    # Every batch is a libc-free shared object that as and ld build.
+    assert runs.count("harness gcc link") == 1
+    batch_builds = [run for run in runs if run != "harness gcc link"]
+    assert batch_builds and set(batch_builds) == {"batch as + ld"}
     assert list(temp.glob("mc_forkserver_*")) == []

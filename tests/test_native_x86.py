@@ -7,7 +7,8 @@ pointer-argument contents, globals).  This is the strongest check the
 reproduction has that the emitted assembly means what the source means —
 including the 32-bit wrapping semantics the width-annotated IR carries.
 
-Skipped automatically on non-x86-64 hosts or when ``as``/``gcc`` is missing.
+Skipped automatically on non-x86-64 hosts or when ``gcc``, ``as`` or ``ld``
+is missing.
 """
 
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from corpus import CORPUS, WIDE_SIGNATURES
+from repro.testing import native as native_mod
 from repro.testing.frontend import CaseContext
 from repro.testing.native import (
     BatchCase,
@@ -87,12 +89,68 @@ def test_native_matches_interpreter(source, name, inputs, opt, workdir):
 )
 def test_wide_signature_matches_interpreter(source, name, inputs, opt, workdir):
     """Signatures wider than the argument registers run on the batch too:
-    the case's call stub passes the overflow on the stack."""
+    the control loop's generic caller passes the overflow on the stack."""
     _check_entry(source, name, inputs, opt, workdir)
     if name == "wide_mixed":  # the out-parameter and the global are observed
         actual, _ = _run_native(source, name, inputs[:1], opt, workdir)[0]
         assert actual.arg_values[-1] == [4]
         assert actual.globals == {"wide_total": 290}
+
+
+def _assert_matches(actual, expected, label):
+    assert values_equal(actual.return_value, expected.return_value), label
+    for value, want in zip(actual.arg_values, expected.arg_values):
+        assert values_equal(value, want), label
+    for gname, gvalue in actual.globals.items():
+        assert values_equal(gvalue, expected.globals[gname]), label
+
+
+@pytest.mark.parametrize("opt", ["O0", "O3"])
+def test_one_batch_mixes_wide_and_narrow_signatures(opt, workdir):
+    """Wide cases (through the control loop's generic caller) and narrow
+    ones (through the register caller) share one table and one object."""
+    entries = []
+    for wide, narrow in zip(WIDE_SIGNATURES, CORPUS):
+        entries += [wide, narrow]
+    cases = [
+        BatchCase(source, name, list(inputs), context=CaseContext(source, name))
+        for source, name, inputs in entries
+    ]
+    with NativeBatch(cases, opt, workdir, tag=f"mixed_{opt}") as batch:
+        for case_index, case in enumerate(cases):
+            for input_index, args in enumerate(case.inputs):
+                label = f"{case.name}{args} @ {opt}"
+                status, actual = batch.outcome(case_index, input_index)
+                assert status == "ok", f"{label}: {status} ({actual})"
+                expected = case.context.interpreter().run_function(case.name, args)
+                _assert_matches(actual, expected, label)
+
+
+def _takes(name, count):
+    params = ", ".join(f"long p{j}" for j in range(count))
+    return f"long {name}({params}) {{\n    return p0 + p{count - 1};\n}}\n"
+
+
+def test_a_signature_past_the_wide_caller_is_charged_alone(workdir):
+    """A case whose stack-passed arguments exceed the generic caller's
+    slots is charged, with a message naming the limit; the cases it was
+    grouped with still run."""
+    limit = native_mod._WIDE_INT_REGS + native_mod._WIDE_STACK_SLOTS
+    counts = {"fits": limit, "too_wide": limit + 1, "narrow": 2}
+    units = [
+        [BatchCase(_takes(name, count), name, [tuple(range(1, count + 1))])]
+        for name, count in counts.items()
+    ]
+    with GroupedBatchRunner("O0", workdir, tag_prefix="toowide") as runner:
+        results = dict(runner.run(units))
+    ([(status, fits)],) = results[0]
+    assert status == "ok" and fits.return_value == 1 + limit
+    (failure,) = results[1]
+    assert isinstance(failure, native_mod.BatchExecutionError)
+    assert "too_wide" in str(failure)
+    assert f"limit of {native_mod._WIDE_STACK_SLOTS}" in str(failure)
+    ([(status, narrow)],) = results[2]
+    assert status == "ok" and narrow.return_value == 3
 
 
 def test_overflowing_intermediate_matches_interpreter(workdir):
@@ -135,8 +193,6 @@ def test_wedged_server_hits_its_deadline_and_is_charged_as_dead(workdir, monkeyp
     group and all, and charged as a death: restarted on the unanswered
     pairs until the pair it wedges on is charged ``limit``."""
     import os
-
-    from repro.testing import native as native_mod
 
     monkeypatch.setattr(NativeBatch, "SERVER_GRACE", 0.2)
     original_spawn = NativeBatch._spawn_server
