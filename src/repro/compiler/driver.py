@@ -56,9 +56,15 @@ class CompiledFunction:
     isa: str
     opt_level: str
     assembly: str
-    source: str
+    #: The function's checked AST, as written (before any -O3 AST pass).
+    func_ast: ast.FunctionDef = field(repr=False, compare=False)
     #: The IR the assembly was emitted from.
     ir_func: Optional[ir.IRFunction] = field(default=None, repr=False, compare=False)
+
+    @property
+    def source(self) -> str:
+        """The C side of the pair (rendered on access)."""
+        return print_function(self.func_ast)
 
     @property
     def ir_text(self) -> str:
@@ -225,7 +231,13 @@ class LoweredFunction:
     strings: Dict[str, str]
     global_sizes: Dict[str, int]
     global_inits: Dict[str, ir.GlobalInit]
-    source: str
+    #: The function's checked AST; lowering reads it and never changes it.
+    func_ast: ast.FunctionDef
+
+    @property
+    def source(self) -> str:
+        """The function's C source (rendered on access)."""
+        return print_function(self.func_ast)
 
 
 def lower_for_backend(
@@ -260,7 +272,6 @@ def lower_for_backend(
     if result.errors:
         raise CompileError("type error: " + "; ".join(result.errors[:5]))
     func = _select_function(program, name)
-    c_source = print_function(func)
 
     compiled_ast = func
     if opt_level == "O3":
@@ -307,7 +318,7 @@ def lower_for_backend(
         strings=string_literals,
         global_sizes=global_sizes,
         global_inits=global_inits,
-        source=c_source,
+        func_ast=func,
     )
 
 
@@ -368,7 +379,7 @@ def emit_from_lowered(
         isa=isa,
         opt_level=lowered.opt_level,
         assembly=assembly,
-        source=lowered.source,
+        func_ast=lowered.func_ast,
         ir_func=ir_func,
     )
 

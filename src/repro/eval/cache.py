@@ -30,20 +30,42 @@ Correctness properties:
   decode, or names another schema, is deleted, counted ``corrupt`` and
   read as a miss.  A ``cache.sqlite`` that is not a database is replaced.
 * **Bounded size.**  :meth:`EvalCache.sweep` evicts least-recently-used
-  rows (hits refresh ``last_used``; ties go by ``(layer, key)``) until the
-  store fits its cap, then gives the freed pages back to the file system.
+  rows (every read refreshes ``last_used``; ties go by ``(layer, key)``)
+  until the store fits its cap, then gives the freed pages back to the
+  file system.
+
+Warm reads stay in the process:
+
+* **A bounded in-process tier.**  :meth:`EvalCache.get` keeps the raw
+  bytes of rows it has read from the store, up to :data:`TIER_MAX_BYTES`
+  shared by the process's threads, and answers a repeated read from them
+  without SQL; each hit decodes its own copy.  Puts do not fill the tier,
+  so a cold batch run holds nothing extra.  A row leaves the tier when
+  ``get`` deletes it as corrupt, when ``put`` replaces it, and when
+  ``sweep`` evicts anything; pickled copies start empty.
+* **Batched recency.**  Reads record their row's ``last_used`` in memory;
+  the recorded rows go out in one transaction once
+  :data:`RECENCY_FLUSH_ROWS` distinct rows are waiting, and always before
+  ``sweep`` picks its victims, so within a process the LRU order a sweep
+  sees is that of a write per read.  Two caveats, neither of which can
+  change a verdict, because every key is content-addressed and
+  fingerprinted: another process's sweep sees this process's reads only
+  after its next flush, and a process that crashes (or ends without a
+  sweep or :meth:`EvalCache.flush`) loses the recency it had not flushed.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Bump when any cached payload's shape or meaning changes; part of every
 #: key *and* checked in every stored envelope, so schema-mismatched rows
@@ -65,6 +87,18 @@ PAGE_CACHE_KIB = 64
 #: How long a writer waits for another connection's lock before the
 #: (best-effort) operation gives up.
 BUSY_TIMEOUT_S = 30.0
+
+#: Byte cap of the in-process tier of raw rows :meth:`EvalCache.get` has
+#: read from the store.  The 18 repeat functions of a 30 s perfbench
+#: ``serve`` run take 123 KB of it (90 entry and verdict rows).
+TIER_MAX_BYTES = 4 << 20
+
+#: Distinct rows whose reads are recorded before their ``last_used``
+#: refresh is written, in one transaction.
+RECENCY_FLUSH_ROWS = 256
+
+#: Sources whose normalized digest is remembered, by raw text.
+SOURCE_DIGEST_MEMO = 256
 
 # ``size`` and ``last_used`` precede the value so the sweep reads them
 # without touching a large blob's overflow pages.  auto_vacuum must be set
@@ -132,8 +166,13 @@ def normalize_source(source: str) -> str:
     return " ".join(t.text for t in tokens if t.kind is not TokenKind.EOF)
 
 
+@functools.lru_cache(maxsize=SOURCE_DIGEST_MEMO)
 def source_digest(source: str) -> str:
-    """sha256 hex digest of the normalized token stream of ``source``."""
+    """sha256 hex digest of the normalized token stream of ``source``.
+
+    Memoized on the raw text: a daemon re-keys the same references and
+    candidates on every repeat request, and lexing them again would cost
+    more than the lookup the digest keys."""
     return hashlib.sha256(normalize_source(source).encode("utf-8")).hexdigest()
 
 
@@ -159,8 +198,9 @@ class EvalCache:
 
     The database connection is opened lazily, one per process and thread:
     pickled copies (``--jobs`` workers) and the daemon's worker threads
-    each open their own.  The counters are shared by those threads, so
-    they are updated and read under one lock.
+    each open their own.  The counters, the in-process tier and the
+    recorded reads are shared by those threads, so they are updated and
+    read under one lock.
     """
 
     def __init__(self, root: Path) -> None:
@@ -169,20 +209,29 @@ class EvalCache:
         self.path = self.root / "cache.sqlite"
         self.stats: Dict[str, Dict[str, int]] = {}
         self.evictions = 0
+        self._init_process_state()
+
+    def _init_process_state(self) -> None:
         self._local = threading.local()
         self._pid = os.getpid()
-        self._stats_lock = threading.Lock()
+        self._lock = threading.Lock()
+        #: ``(layer, key) -> raw row`` in least-recently-read order.
+        self._tier: "OrderedDict[Tuple[str, str], bytes]" = OrderedDict()
+        self._tier_bytes = 0
+        #: ``(layer, key) -> time.time_ns()`` of its latest unflushed read.
+        self._recent: Dict[Tuple[str, str], int] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_local"], state["_pid"], state["_stats_lock"]
-        return state
+        # The connection, lock, tier and recorded reads are per process.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in ("_local", "_pid", "_lock", "_tier", "_tier_bytes", "_recent")
+        }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._local = threading.local()
-        self._pid = os.getpid()
-        self._stats_lock = threading.Lock()
+        self._init_process_state()
 
     # -- the connection -------------------------------------------------------
 
@@ -231,7 +280,7 @@ class EvalCache:
     # -- bookkeeping ----------------------------------------------------------
 
     def _bump(self, layer: str, field: str) -> None:
-        with self._stats_lock:
+        with self._lock:
             self.stats.setdefault(layer, _counter())[field] += 1
 
     def absorb(self, summary: Dict[str, Any]) -> None:
@@ -241,7 +290,7 @@ class EvalCache:
         their hit/miss counters come back with their results and are
         accumulated here so the parent's summary covers the whole run.
         """
-        with self._stats_lock:
+        with self._lock:
             for layer, counts in summary.get("layers", {}).items():
                 target = self.stats.setdefault(layer, _counter())
                 for field in target:
@@ -250,7 +299,7 @@ class EvalCache:
 
     def stats_summary(self) -> Dict[str, Any]:
         summary: Dict[str, Any] = dict(_counter(), evictions=self.evictions, layers={})
-        with self._stats_lock:
+        with self._lock:
             for layer, counts in sorted(self.stats.items()):
                 summary["layers"][layer] = dict(counts)
                 for field in counts:
@@ -260,10 +309,14 @@ class EvalCache:
     # -- rows -----------------------------------------------------------------
 
     def _read(self, layer: str, key: str) -> Optional[bytes]:
-        """The stored value (refreshing its recency), or None; counts misses."""
+        """The stored value, or None; counts misses.
+
+        A hit only records the read (:meth:`_note_read`): its ``last_used``
+        refresh goes out with the next :meth:`flush`, so a read issues no
+        write statement of its own.
+        """
         try:
-            db = self._db()
-            row = db.execute(
+            row = self._db().execute(
                 "SELECT value FROM entries WHERE layer = ? AND key = ?", (layer, key)
             ).fetchone()
         except sqlite3.DatabaseError:
@@ -271,18 +324,49 @@ class EvalCache:
         if row is None:
             self._bump(layer, "misses")
             return None
+        self._note_read(layer, key)
+        return row[0]
+
+    def _note_read(self, layer: str, key: str) -> None:
+        with self._lock:
+            self._recent[(layer, key)] = time.time_ns()
+            full = len(self._recent) >= RECENCY_FLUSH_ROWS
+        if full:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the recorded reads' ``last_used`` in one transaction.
+
+        ``MAX`` keeps a row's newer ``last_used``: a put (here or in another
+        process) after the read refreshed it already.  Best-effort, like
+        every write: a locked or damaged store loses the recency.
+        """
+        with self._lock:
+            recent, self._recent = self._recent, {}
+        if not recent:
+            return
+        rows = [(used, layer, key) for (layer, key), used in recent.items()]
         try:
-            db.execute(
-                "UPDATE entries SET last_used = ? WHERE layer = ? AND key = ?",
-                (time.time_ns(), layer, key),
-            )
+            db = self._db()
+            db.execute("BEGIN IMMEDIATE")
+            try:
+                db.executemany(
+                    "UPDATE entries SET last_used = MAX(last_used, ?) "
+                    "WHERE layer = ? AND key = ?",
+                    rows,
+                )
+                db.execute("COMMIT")
+            except BaseException:
+                if db.in_transaction:
+                    db.execute("ROLLBACK")
+                raise
         except sqlite3.DatabaseError:
             pass
-        return row[0]
 
     def _write(self, layer: str, key: str, value: bytes) -> None:
         """Store one row, best-effort: a locked, full or damaged store drops
         it, counted ``dropped``."""
+        self._forget(layer, key)
         try:
             self._db().execute(
                 "INSERT OR REPLACE INTO entries (layer, key, size, last_used, value) "
@@ -294,13 +378,50 @@ class EvalCache:
             return
         self._bump(layer, "stores")
 
+    # -- the in-process tier --------------------------------------------------
+
+    def _tier_get(self, layer: str, key: str) -> Optional[bytes]:
+        with self._lock:
+            raw = self._tier.get((layer, key))
+            if raw is not None:
+                self._tier.move_to_end((layer, key))
+        return raw
+
+    def _tier_put(self, layer: str, key: str, raw: bytes) -> None:
+        if len(raw) > TIER_MAX_BYTES:
+            return
+        with self._lock:
+            old = self._tier.pop((layer, key), None)
+            if old is not None:
+                self._tier_bytes -= len(old)
+            self._tier[(layer, key)] = raw
+            self._tier_bytes += len(raw)
+            while self._tier_bytes > TIER_MAX_BYTES:
+                _, evicted = self._tier.popitem(last=False)
+                self._tier_bytes -= len(evicted)
+
+    def _forget(self, layer: str, key: str) -> None:
+        with self._lock:
+            old = self._tier.pop((layer, key), None)
+            if old is not None:
+                self._tier_bytes -= len(old)
+
     # -- JSON payloads --------------------------------------------------------
 
     def get(self, layer: str, key: str) -> Optional[Any]:
-        """The stored payload, or None (miss).  Damage reads as a miss."""
-        raw = self._read(layer, key)
-        if raw is None:
-            return None
+        """The stored payload, or None (miss).  Damage reads as a miss.
+
+        A row read from the store before is answered from the in-process
+        tier, without SQL; the read is recorded for recency either way.
+        """
+        raw = self._tier_get(layer, key)
+        from_store = raw is None
+        if from_store:
+            raw = self._read(layer, key)
+            if raw is None:
+                return None
+        else:
+            self._note_read(layer, key)
         try:
             envelope = json.loads(raw)
             if (
@@ -313,11 +434,14 @@ class EvalCache:
             # Deleted, so the damage cannot fail a second reader.
             self._bump(layer, "corrupt")
             self._bump(layer, "misses")
+            self._forget(layer, key)
             try:
                 self._db().execute("DELETE FROM entries WHERE layer = ? AND key = ?", (layer, key))
             except sqlite3.DatabaseError:
                 pass
             return None
+        if from_store:
+            self._tier_put(layer, key, raw)
         self._bump(layer, "hits")
         return envelope["payload"]
 
@@ -363,14 +487,20 @@ class EvalCache:
     def sweep(self, max_bytes: Optional[int] = None) -> int:
         """Evict least-recently-used rows until the store fits the cap.
 
-        Rows go oldest ``last_used`` first (hits refresh it, making this
-        LRU), ties broken by ``(layer, key)`` so the order is deterministic,
-        in one transaction; the freed pages are then returned to the file
-        system.  Returns the number of rows evicted.
+        Rows go oldest ``last_used`` first (reads refresh it, making this
+        LRU; this process's recorded reads are flushed first), ties broken
+        by ``(layer, key)`` so the order is deterministic, in one
+        transaction; the freed pages are then returned to the file system.
+        A sweep that has to evict empties the in-process tier.  Returns the
+        number of rows evicted.
         """
+        self.flush()
         cap = DEFAULT_MAX_BYTES if max_bytes is None else max_bytes
         if self.total_bytes() <= cap:
             return 0  # the common case, without the eviction query's sort
+        with self._lock:
+            self._tier.clear()
+            self._tier_bytes = 0
         try:
             db = self._db()
             evicted = db.execute(_EVICT, (cap,)).rowcount

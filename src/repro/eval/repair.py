@@ -352,6 +352,8 @@ def _repair_worker(payload):
         cache.evictions = 0
     entries_by_uid = {entry.uid: entry for entry in entries}
     _run_rounds(targets, entries_by_uid, config, cache=cache)
+    if cache is not None:
+        cache.flush()  # the worker never sweeps: its reads' recency goes out now
     return targets, (cache.stats_summary() if cache is not None else None)
 
 

@@ -454,6 +454,15 @@ def _score_entries(
     return [scores for scores, _ in staged]
 
 
+def _entry_key_parts(entry: DatasetEntry) -> Tuple[str, str]:
+    """The entry's IO vectors as JSON and its reference observations'
+    digest: the verdict key parts every candidate of the entry shares."""
+    return (
+        json.dumps([list(args) for args in entry.inputs]),
+        json_digest([obs.to_json() for obs in entry.reference]),
+    )
+
+
 def _verdict_key(
     cache: EvalCache,
     entry: DatasetEntry,
@@ -461,6 +470,7 @@ def _verdict_key(
     backend: str,
     opt_level: str,
     run_timeout: float,
+    entry_parts: Tuple[str, str],
 ) -> str:
     """Memo key for one (candidate, reference, substrate) triple.
 
@@ -470,15 +480,17 @@ def _verdict_key(
     the substrate and the run timeout (score and repair use different
     budgets, so their ``limit`` verdicts can legitimately differ).  How
     candidates were grouped into batches is deliberately absent: verdicts
-    do not depend on it.
+    do not depend on it.  ``entry_parts`` is :func:`_entry_key_parts` of
+    ``entry``, computed once for all of its candidates.
     """
+    inputs_json, observations = entry_parts
     return cache.key(
         "verdict",
         text,
         entry.source,
         entry.name,
-        json.dumps([list(args) for args in entry.inputs]),
-        json_digest([obs.to_json() for obs in entry.reference]),
+        inputs_json,
+        observations,
         backend,
         opt_level,
         str(run_timeout),
@@ -552,9 +564,10 @@ def score_entry_sets(
         keys: List[str] = []
         unique_keys: List[str] = []
         unique_candidates: List[Candidate] = []
+        entry_parts = _entry_key_parts(entry)
         for candidate in candidates:
             key = _verdict_key(
-                cache, entry, candidate.text, backend, opt_level, run_timeout
+                cache, entry, candidate.text, backend, opt_level, run_timeout, entry_parts
             )
             keys.append(key)
             if key in memo:
@@ -599,6 +612,8 @@ def _entries_worker(payload):
         cache.stats = {}
         cache.evictions = 0
     scores = score_entry_sets(entries, candidate_sets, cache, **kwargs)
+    if cache is not None:
+        cache.flush()  # the worker never sweeps: its reads' recency goes out now
     return scores, (cache.stats_summary() if cache is not None else None)
 
 

@@ -210,6 +210,14 @@ class ScoringService:
     re-materialised per request.  ``workers=0`` starts no workers — jobs
     queue up and persist, which is how the restart tests freeze a job
     in-flight.
+
+    Only journaled ``POST /jobs`` jobs are kept, in :attr:`jobs`, so that
+    ``GET /jobs/<id>`` can answer them.  A ``POST /score`` job lives while
+    its request is in flight: its id (``score-<seq>``) cannot be looked
+    up, and once a worker finishes it only its final status is counted,
+    so ``/stats`` reports every request without keeping any of them.
+    Every submission takes the next ``seq``, so ``/jobs`` ids are the
+    same whatever mix of requests came before.
     """
 
     def __init__(
@@ -237,6 +245,9 @@ class ScoringService:
 
         self.jobs: Dict[str, Job] = {}
         self._jobs_order: List[str] = []
+        #: ``POST /score`` jobs in flight, and how the finished ones ended.
+        self._scoring: Dict[int, Job] = {}
+        self._scored = {"done": 0, "error": 0}
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._threads: List[threading.Thread] = []
         self._busy: List[bool] = [False] * self.workers
@@ -431,9 +442,15 @@ class ScoringService:
                 job.status = "error"
             finally:
                 self._busy[index] = False
-            if job.journaled and self.journal is not None:
-                self.journal.append({"type": "result", **job.to_json()})
+            if job.journaled:
+                if self.journal is not None:
+                    self.journal.append({"type": "result", **job.to_json()})
+            else:
+                with self._lock:
+                    del self._scoring[job.seq]
+                    self._scored[job.status] += 1
             job.done_event.set()
+            del job  # not kept alive while this worker waits for the next
 
     def _start_workers(self) -> None:
         for index in range(self.workers):
@@ -463,9 +480,13 @@ class ScoringService:
                 return None
             seq = self._seq
             self._seq += 1
-            job = Job(job_id_for(seq, request), seq, request, journaled)
-            self.jobs[job.id] = job
-            self._jobs_order.append(job.id)
+            if journaled:
+                job = Job(job_id_for(seq, request), seq, request, journaled)
+                self.jobs[job.id] = job
+                self._jobs_order.append(job.id)
+            else:
+                job = Job(f"score-{seq}", seq, request, journaled)
+                self._scoring[seq] = job
         if journaled and self.journal is not None:
             self.journal.append(
                 {"type": "job", "seq": job.seq, "id": job.id, "request": request}
@@ -476,9 +497,9 @@ class ScoringService:
     # -- stats ----------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        counts = {"pending": 0, "running": 0, "done": 0, "error": 0}
         with self._lock:
-            for job in self.jobs.values():
+            counts = {"pending": 0, "running": 0, **self._scored}
+            for job in (*self.jobs.values(), *self._scoring.values()):
                 counts[job.status] = counts.get(job.status, 0) + 1
             requests = dict(sorted(self._request_counts.items()))
         return {

@@ -9,17 +9,20 @@ and the LRU sweep evicts deterministically under a size cap and shrinks
 the file.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import sqlite3
 import sys
 import threading
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
 
+from repro.eval import cache as cache_module
 from repro.eval.cache import (
     DEFAULT_CACHE_DIR,
     EvalCache,
@@ -32,13 +35,15 @@ from repro.eval.cache import (
     source_digest,
 )
 from repro.eval.dataset import (
+    _entry_cache_key,
+    build_entry,
     dataset_from_json,
     dataset_to_json,
     entry_from_json,
     generated_entries,
 )
 from repro.eval.mutate import Mutator
-from repro.eval.score import score_dataset
+from repro.eval.score import _entry_key_parts, _verdict_key, score_dataset
 from repro.testing.native import have_native_toolchain
 
 needs_toolchain = pytest.mark.skipif(
@@ -418,6 +423,232 @@ def test_sweep_shrinks_the_file(tmp_path):
     assert full > 200 * 16 * 1024
     assert cache.sweep(max_bytes=16 * 1024) == 199
     assert on_disk() < full / 10
+
+
+# ---------------------------------------------------------------------------
+# The in-process tier and batched recency
+# ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _traced(cache):
+    """Every SQL statement the cache's own connection runs in the block."""
+    statements = []
+    db = cache._db()
+    db.set_trace_callback(statements.append)
+    try:
+        yield statements
+    finally:
+        db.set_trace_callback(None)
+
+
+def _writes(statements):
+    return [s for s in statements if not s.lstrip().upper().startswith("SELECT")]
+
+
+def test_tier_hit_runs_no_sql(tmp_path):
+    cache = EvalCache(tmp_path)
+    key = cache.key("tier")
+    cache.put("verdict", key, {"verdict": "io_equivalent"})
+    # A store hit reads its row and writes nothing: its recency is recorded.
+    with _traced(cache) as statements:
+        first = cache.get("verdict", key)
+    assert first == {"verdict": "io_equivalent"}
+    assert len(statements) == 1 and _writes(statements) == []
+    # A repeat is answered from the tier: no SQL at all.
+    with _traced(cache) as statements:
+        second = cache.get("verdict", key)
+    assert statements == []
+    assert second == first and second is not first  # each hit decodes its own copy
+    second["verdict"] = "aliased"
+    assert cache.get("verdict", key) == {"verdict": "io_equivalent"}
+    layer = cache.stats_summary()["layers"]["verdict"]
+    assert (layer["hits"], layer["misses"], layer["stores"]) == (3, 0, 1)
+
+
+def test_puts_do_not_fill_the_tier(tmp_path):
+    cache = EvalCache(tmp_path)
+    cache.put("verdict", cache.key("cold"), {"ok": True})
+    assert not cache._tier
+
+
+def test_put_replaces_a_tier_row(tmp_path):
+    cache = EvalCache(tmp_path)
+    key = cache.key("replace")
+    cache.put("entry", key, {"version": 1})
+    assert cache.get("entry", key) == {"version": 1}
+    cache.put("entry", key, {"version": 2})
+    assert cache.get("entry", key) == {"version": 2}
+
+
+def test_tier_byte_cap_holds(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "TIER_MAX_BYTES", 3000)
+    cache = EvalCache(tmp_path)
+    keys = [cache.key("cap", index) for index in range(8)]
+    for index, key in enumerate(keys):
+        cache.put("entry", key, {"index": index, "pad": "p" * 900})
+        assert cache.get("entry", key)["index"] == index
+        assert cache._tier_bytes == sum(len(raw) for raw in cache._tier.values()) <= 3000
+    # The most recently read rows stay; older ones are read from the store.
+    assert list(cache._tier) == [("entry", key) for key in keys[-3:]]
+    with _traced(cache) as statements:
+        cache.get("entry", keys[-1])
+    assert statements == []
+    with _traced(cache) as statements:
+        cache.get("entry", keys[0])
+    assert len(statements) == 1
+    # A row larger than the whole tier is never kept.
+    big = cache.key("big")
+    cache.put("entry", big, {"pad": "p" * 4000})
+    assert cache.get("entry", big) is not None
+    assert ("entry", big) not in cache._tier
+
+
+def test_sweep_eviction_empties_the_tier(tmp_path):
+    cache = EvalCache(tmp_path)
+    keys = [cache.key("swept", index) for index in range(3)]
+    for key in keys:
+        cache.put("entry", key, {"pad": "p" * 256})
+        assert cache.get("entry", key) is not None
+    assert cache.sweep(max_bytes=0) == 3
+    for key in keys:
+        assert cache.get("entry", key) is None
+    assert cache.stats_summary()["layers"]["entry"]["misses"] == 3
+
+
+def test_deleted_corrupt_row_stays_a_miss(tmp_path):
+    cache = EvalCache(tmp_path)
+    key = cache.key("corrupt-tier")
+    cache.put("entry", key, {"ok": True})
+    _execute(cache, "UPDATE entries SET value = ?", (b"not json",))
+    assert cache.get("entry", key) is None
+    assert cache.get("entry", key) is None
+    assert ("entry", key) not in cache._tier
+    summary = cache.stats_summary()["layers"]["entry"]
+    assert (summary["hits"], summary["misses"], summary["corrupt"]) == (0, 2, 1)
+
+
+def test_pickled_copy_starts_with_an_empty_tier(tmp_path):
+    cache = EvalCache(tmp_path)
+    key = cache.key("pickled")
+    cache.put("entry", key, {"ok": True})
+    assert cache.get("entry", key) == {"ok": True}
+    assert cache._tier and cache._recent
+    copy = pickle.loads(pickle.dumps(cache))
+    assert not copy._tier and not copy._recent and copy._tier_bytes == 0
+    with _traced(copy) as statements:
+        assert copy.get("entry", key) == {"ok": True}
+    assert len(statements) == 1  # read from the store, not from the parent's tier
+
+
+def test_tier_and_recency_hold_under_thread_contention(tmp_path, monkeypatch):
+    """The daemon's threads share the tier and the recorded reads: with
+    more threads than cores switching as often as the interpreter allows,
+    every read returns its own row, the tier's byte count matches its rows
+    and stays under the cap, and every read row's recency reaches the
+    store."""
+    monkeypatch.setattr(cache_module, "TIER_MAX_BYTES", 4000)
+    monkeypatch.setattr(cache_module, "RECENCY_FLUSH_ROWS", 5)
+    cache = EvalCache(tmp_path)
+    keys = [cache.key("contended", index) for index in range(12)]
+    for index, key in enumerate(keys):
+        cache.put("verdict", key, {"index": index, "pad": "p" * 400})
+    _execute(cache, "UPDATE entries SET last_used = 1")
+    errors = []
+
+    def work(thread):
+        try:
+            for step in range(300):
+                index = (thread * 5 + step) % len(keys)
+                assert cache.get("verdict", keys[index])["index"] == index
+        except BaseException as error:  # surfaced on the main thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert cache._tier_bytes == sum(len(raw) for raw in cache._tier.values()) <= 4000
+    assert cache.stats_summary()["layers"]["verdict"]["hits"] == 6 * 300
+    cache.flush()
+    assert all(used > 1 for (used,) in _execute(cache, "SELECT last_used FROM entries"))
+
+
+def test_reads_flush_recency_in_one_transaction(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "RECENCY_FLUSH_ROWS", 3)
+    cache = EvalCache(tmp_path)
+    keys = [cache.key("recent", index) for index in range(3)]
+    for key in keys:
+        cache.put("entry", key, {"ok": True})
+    _execute(cache, "UPDATE entries SET last_used = 7")
+    with _traced(cache) as statements:
+        cache.get("entry", keys[0])
+        cache.get("entry", keys[0])  # the same row twice is one recorded read
+        cache.get("entry", keys[1])
+    assert _writes(statements) == []
+    with _traced(cache) as statements:
+        cache.get("entry", keys[2])  # the third distinct row fills the set
+    writes = _writes(statements)
+    assert writes[0] == "BEGIN IMMEDIATE" and writes[-1] == "COMMIT"
+    assert sum(w.startswith("UPDATE") for w in writes) == 3
+    assert all(used > 7 for (used,) in _execute(cache, "SELECT last_used FROM entries"))
+
+
+def test_flush_keeps_a_newer_put(tmp_path):
+    """A row put after it was read keeps the put's ``last_used``."""
+    cache = EvalCache(tmp_path)
+    key = cache.key("newer")
+    cache.put("entry", key, {"version": 1})
+    assert cache.get("entry", key) is not None
+    cache.put("entry", key, {"version": 2})
+    [(put_at,)] = _execute(cache, "SELECT last_used FROM entries")
+    cache.flush()
+    assert _execute(cache, "SELECT last_used FROM entries") == [(put_at,)]
+
+
+def test_key_formulas_are_unchanged(tmp_path):
+    """The verdict and entry keys hash exactly the parts, in the order, that
+    every existing cache was written with."""
+    reference = "int f(int a, int b)\n{ return a + b; }"
+    inputs = [(1, 2), (-3, 4)]
+    entry = build_entry(
+        reference, "f", inputs, "uid", "test", isas=("x86",), opt_levels=("O0",)
+    )
+    cache = EvalCache(tmp_path)
+
+    def formula(*parts):
+        digest = hashlib.sha256(f"schema={SCHEMA_VERSION}".encode())
+        digest.update(b"\x00" + pipeline_fingerprint().encode())
+        for part in parts:
+            digest.update(b"\x00" + str(part).encode("utf-8"))
+        return digest.hexdigest()
+
+    text = "int f(int a, int b) { return b + a; }"
+    expected = formula(
+        "verdict",
+        text,
+        reference,
+        "f",
+        json.dumps([list(args) for args in inputs]),
+        json_digest([obs.to_json() for obs in entry.reference]),
+        "x86",
+        "O0",
+        "10.0",
+    )
+    parts = _entry_key_parts(entry)
+    assert _verdict_key(cache, entry, text, "x86", "O0", 10.0, parts) == expected
+    normalized = hashlib.sha256(normalize_source(reference).encode("utf-8")).hexdigest()
+    assert _entry_cache_key(cache, reference, "f", inputs, ("x86",), ("O0",)) == formula(
+        "entry", normalized, "f", json.dumps([[1, 2], [-3, 4]]), "x86", "O0"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import os
 import socket
 import statistics
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,31 @@ def test_stats_schema_pin():
     assert stats["workers"] == {"configured": 1, "busy": 0}
     assert stats["requests"]["POST /score"] == 1
     assert stats["cache"] is None  # no cache mounted in this service
+
+
+def test_score_requests_leave_no_job_behind(monkeypatch):
+    """Synchronous ``/score`` jobs are counted, not kept: after N requests
+    no ``Job`` is alive, and ``/stats`` still reports N done."""
+    made = []
+
+    class TrackedJob(service_module.Job):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(service_module, "Job", TrackedJob)
+    requests = 5
+    with _service() as (service, client):
+        for _ in range(requests):
+            client.score(_request())
+        deadline = time.monotonic() + 10
+        while any(ref() is not None for ref in made) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(made) == requests
+        assert [ref() for ref in made] == [None] * requests
+        assert service.jobs == {}
+        stats = client.stats()
+    assert stats["jobs"] == {"pending": 0, "running": 0, "done": requests, "error": 0}
 
 
 def test_stats_reports_cache_counters(tmp_path):
