@@ -17,43 +17,32 @@ test.  This package adds three static gates that catch broken artifacts
   possible division by zero, oversized shift counts, uninitialised reads
   and unreachable statements (``python -m repro.analysis.lint``), a
   standalone check on sources and the generated corpus;
-* :mod:`repro.analysis.sanitize` — UBSan/ASan compilation of the per-batch
+* :mod:`repro.analysis.sanitize` — UBSan compilation of the per-batch
   native translation unit with runtime reports parsed and attributed to
   the owning ``__caseN_*`` case.
 """
 
-from typing import List
+import importlib
+from typing import Dict, List
 
-__all__: List[str] = [
-    "Diagnostic",
-    "IRVerificationError",
-    "verify_function",
-    "verify_function_or_raise",
-    "Finding",
-    "lint_program",
-    "lint_source",
-    "SanitizerConfig",
-    "SanitizerReport",
-    "parse_sanitizer_reports",
-]
+#: Every export, mapped to the submodule that defines it; imported lazily.
+_EXPORTS: Dict[str, str] = {
+    "Diagnostic": "verifier",
+    "IRVerificationError": "verifier",
+    "verify_function": "verifier",
+    "verify_function_or_raise": "verifier",
+    "Finding": "lint",
+    "lint_program": "lint",
+    "lint_source": "lint",
+    "SanitizerReport": "sanitize",
+    "parse_sanitizer_reports": "sanitize",
+}
+
+__all__: List[str] = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in (
-        "Diagnostic",
-        "IRVerificationError",
-        "verify_function",
-        "verify_function_or_raise",
-    ):
-        from repro.analysis import verifier
-
-        return getattr(verifier, name)
-    if name in ("Finding", "lint_program", "lint_source"):
-        from repro.analysis import lint
-
-        return getattr(lint, name)
-    if name in ("SanitizerConfig", "SanitizerReport", "parse_sanitizer_reports"):
-        from repro.analysis import sanitize
-
-        return getattr(sanitize, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

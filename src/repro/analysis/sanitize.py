@@ -2,11 +2,11 @@
 
 The verifier and linter prove invariants statically; this module closes the
 loop dynamically: every case's **Mini-C source is also valid C**, so it can
-be compiled with the host gcc under ``-fsanitize=undefined`` (optionally
-``address``) and driven over the same input vectors as the differential
-legs.  Any runtime-error report is attributed back to the owning case and
-surfaced by the oracle as a first-class observation (category
-``"sanitizer"``), distinct from an IO divergence.
+be compiled with the host gcc under ``-fsanitize=undefined`` and driven
+over the same input vectors as the differential legs.  Any runtime-error
+report is attributed back to the owning case and surfaced by the oracle as
+a first-class observation (category ``"sanitizer"``), distinct from an IO
+divergence.
 
 The leg is **report-only**: its outputs are never compared against the
 interpreter, because gcc compiles the source under C semantics while the
@@ -54,6 +54,17 @@ from repro.testing.native import BatchExecutionError, _encode_argument
 #: UBSan checks disabled because the dialect defines the behaviour.
 UNDEFINED_DISABLED = ("shift-base", "signed-integer-overflow", "float-cast-overflow")
 
+#: The gcc flags the leg is built with.
+SANITIZER_CFLAGS = (
+    "-fsanitize=undefined",
+    "-fno-sanitize=" + ",".join(UNDEFINED_DISABLED),
+    "-fwrapv",
+)
+
+#: Seconds one run of the instrumented binary may take, before the
+#: per-pair allowance for the pairs it still has to run.
+RUN_TIMEOUT = 10.0
+
 #: Scalar arguments are spelled as literals in the instrumented harness;
 #: doubles go through their exact bit pattern.
 _BITS_HELPER = """
@@ -87,32 +98,11 @@ def _prototype(
 
 
 @dataclass(frozen=True)
-class SanitizerConfig:
-    """Which sanitizers to build the leg with.
-
-    ``kinds`` is any subset of ``("undefined", "address")``.
-    """
-
-    kinds: Tuple[str, ...] = ("undefined",)
-    run_timeout: float = 10.0
-
-    def cflags(self) -> List[str]:
-        flags: List[str] = []
-        if "undefined" in self.kinds:
-            flags.append("-fsanitize=undefined")
-            flags.append("-fno-sanitize=" + ",".join(UNDEFINED_DISABLED))
-        if "address" in self.kinds:
-            flags.append("-fsanitize=address")
-        flags.append("-fwrapv")
-        return flags
-
-
-@dataclass(frozen=True)
 class SanitizerReport:
     """One sanitizer finding, attributed to its owning case."""
 
     case_index: int
-    kind: str  # "runtime" (UBSan, non-fatal) | "fatal" (ASan or hard stop)
+    kind: str  # "runtime" (UBSan, non-fatal) | "fatal" (hard stop)
     location: str  # "fileN.c:LINE:COL" for runtime reports, "" otherwise
     message: str
 
@@ -244,10 +234,8 @@ class SanitizerBatch:
         self,
         cases: Sequence[Any],
         workdir: Path,
-        config: Optional[SanitizerConfig] = None,
         tag: str = "san",
     ) -> None:
-        self.config = config if config is not None else SanitizerConfig()
         self.workdir = Path(workdir)
         self.tag = tag
         self.skipped: Dict[int, str] = {}
@@ -299,8 +287,7 @@ class SanitizerBatch:
         self.binary = self.workdir / self.tag
         sources = [harness_path] + [self.workdir / e.filename for e in self.entries]
         command = (
-            ["gcc", "-O0", "-w", "-no-pie"]
-            + self.config.cflags()
+            ["gcc", "-O0", "-w", "-no-pie", *SANITIZER_CFLAGS]
             + ["-o", str(self.binary), *map(str, sources)]
         )
         try:
@@ -394,7 +381,7 @@ class SanitizerBatch:
                 [str(self.binary), str(start)],
                 capture_output=True,
                 text=True,
-                timeout=self.config.run_timeout + self.PER_PAIR_ALLOWANCE * remaining,
+                timeout=RUN_TIMEOUT + self.PER_PAIR_ALLOWANCE * remaining,
             )
             stdout, stderr, returncode = proc.stdout, proc.stderr, proc.returncode
         except subprocess.TimeoutExpired as exc:
@@ -469,7 +456,6 @@ class SanitizerBatch:
 
 __all__ = [
     "SanitizerBatch",
-    "SanitizerConfig",
     "SanitizerReport",
     "parse_sanitizer_reports",
     "sanitizer_supported",

@@ -40,11 +40,6 @@ def _w(reg: str) -> str:
     return "w" + reg[1:]
 
 
-def _s(reg: str) -> str:
-    """The single-precision view of a ``d`` register (``d16`` -> ``s16``)."""
-    return "s" + reg[1:]
-
-
 def _escape_string(text: str) -> str:
     out = []
     for ch in text:

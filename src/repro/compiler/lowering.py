@@ -126,11 +126,6 @@ class Lowerer:
             return 8 * resolved.sizeof(), resolved.unsigned
         return 64, False
 
-    def _int_vreg(self, t: ct.CType) -> ir.VReg:
-        """A fresh integer vreg annotated with the width of ``t``."""
-        bits, unsigned = self._width(t)
-        return self.ir.new_vreg(False, bits, unsigned)
-
     def _scalar_promotable(self, t: ct.CType, name: str) -> bool:
         if not self.promote_scalars:
             return False
@@ -1044,10 +1039,3 @@ class Lowerer:
         dst = self.ir.new_vreg(is_float, bits, unsigned)
         self.ir.emit(ir.IRCall(dst, name, args, is_float))
         return dst, return_type
-
-
-def lower_function(
-    program: ast.Program, func: ast.FunctionDef, promote_scalars: bool = False
-) -> Tuple[ir.IRFunction, Dict[str, str]]:
-    """Convenience wrapper around :class:`Lowerer`."""
-    return Lowerer(program, func, promote_scalars=promote_scalars).lower()

@@ -25,69 +25,40 @@ package reproduces that loop end to end on the Mini-C pipeline:
   over the reversed mutation inventory, with resumable campaign state.
 """
 
-from typing import List
+import importlib
+from typing import Dict, List
 
-__all__: List[str] = [
-    "DatasetEntry",
-    "Observation",
-    "build_dataset",
-    "generated_entries",
-    "classify_observations",
-    "classify_with_diffs",
-    "observation_diff",
-    "front_end_gate",
-    "Candidate",
-    "Mutator",
-    "make_candidates",
-    "repair_neighbors",
-    "CandidateScore",
-    "score_candidates",
-    "score_dataset",
-    "score_entry_sets",
-    "build_report",
-    "edit_similarity",
-    "RepairConfig",
-    "repair_campaign",
-    "ScoringService",
-    "ServiceClient",
-]
+#: Every export, mapped to the submodule that defines it; imported lazily.
+_EXPORTS: Dict[str, str] = {
+    "DatasetEntry": "dataset",
+    "Observation": "dataset",
+    "build_dataset": "dataset",
+    "generated_entries": "dataset",
+    "classify_observations": "dataset",
+    "classify_with_diffs": "dataset",
+    "observation_diff": "dataset",
+    "front_end_gate": "dataset",
+    "Candidate": "mutate",
+    "Mutator": "mutate",
+    "make_candidates": "mutate",
+    "repair_neighbors": "mutate",
+    "CandidateScore": "score",
+    "score_candidates": "score",
+    "score_dataset": "score",
+    "score_entry_sets": "score",
+    "build_report": "score",
+    "edit_similarity": "score",
+    "RepairConfig": "repair",
+    "repair_campaign": "repair",
+    "ScoringService": "service",
+    "ServiceClient": "service",
+}
+
+__all__: List[str] = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in (
-        "DatasetEntry",
-        "Observation",
-        "build_dataset",
-        "generated_entries",
-        "classify_observations",
-        "classify_with_diffs",
-        "observation_diff",
-        "front_end_gate",
-    ):
-        from repro.eval import dataset
-
-        return getattr(dataset, name)
-    if name in ("Candidate", "Mutator", "make_candidates", "repair_neighbors"):
-        from repro.eval import mutate
-
-        return getattr(mutate, name)
-    if name in (
-        "CandidateScore",
-        "score_candidates",
-        "score_dataset",
-        "score_entry_sets",
-        "build_report",
-        "edit_similarity",
-    ):
-        from repro.eval import score
-
-        return getattr(score, name)
-    if name in ("RepairConfig", "repair_campaign"):
-        from repro.eval import repair
-
-        return getattr(repair, name)
-    if name in ("ScoringService", "ServiceClient"):
-        from repro.eval import service
-
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

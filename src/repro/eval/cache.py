@@ -6,12 +6,15 @@ reuse instead of recomputing:
 
 * **dataset entries** — built (assembly, reference C, IO-vector) triples
   and certified candidate sets, keyed by their content;
-* **compiled artifacts** — emitted candidate assembly, keyed by the
-  normalized token stream, ISA and opt level, and linked batch binaries
-  (stored as blobs), keyed by their full translation units;
+* **linked binaries** — batch executables (stored as blobs), keyed by
+  their full translation units;
 * **verdict memos** — ``(candidate, reference, substrate) →``
   :class:`~repro.eval.score.CandidateScore` payloads, so one execution
   serves every byte-identical candidate across rounds, beams and campaigns.
+
+Every key that names a source uses its raw text, as the caller spelled
+it: a hit returns what the miss path computes from that very text, so the
+cache needs no notion of which spellings are equivalent.
 
 Correctness properties:
 
@@ -56,7 +59,6 @@ Warm reads stay in the process:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -96,9 +98,6 @@ TIER_MAX_BYTES = 4 << 20
 #: Distinct rows whose reads are recorded before their ``last_used``
 #: refresh is written, in one transaction.
 RECENCY_FLUSH_ROWS = 256
-
-#: Sources whose normalized digest is remembered, by raw text.
-SOURCE_DIGEST_MEMO = 256
 
 # ``size`` and ``last_used`` precede the value so the sweep reads them
 # without touching a large blob's overflow pages.  auto_vacuum must be set
@@ -148,34 +147,6 @@ def pipeline_fingerprint() -> str:
     return _fingerprint
 
 
-def normalize_source(source: str) -> str:
-    """The token stream of ``source`` joined by single spaces.
-
-    Formatting-insensitive: two sources that lex identically normalize
-    identically, so reformatted candidates share artifacts and verdicts.
-    Sources the lexer rejects normalize to themselves prefixed with a
-    marker (they can still be cached — their verdicts are deterministic
-    too — but never collide with a lexable spelling).
-    """
-    from repro.lang.lexer import LexError, TokenKind, tokenize
-
-    try:
-        tokens = tokenize(source)
-    except LexError:
-        return "\x00unlexable\x00" + source
-    return " ".join(t.text for t in tokens if t.kind is not TokenKind.EOF)
-
-
-@functools.lru_cache(maxsize=SOURCE_DIGEST_MEMO)
-def source_digest(source: str) -> str:
-    """sha256 hex digest of the normalized token stream of ``source``.
-
-    Memoized on the raw text: a daemon re-keys the same references and
-    candidates on every repeat request, and lexing them again would cost
-    more than the lookup the digest keys."""
-    return hashlib.sha256(normalize_source(source).encode("utf-8")).hexdigest()
-
-
 def json_digest(payload: Any) -> str:
     """sha256 hex digest of a canonical JSON rendering of ``payload``."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -189,7 +160,7 @@ def _counter() -> Dict[str, int]:
 class EvalCache:
     """One content-addressed store with named layers.
 
-    A *layer* names a kind of payload (``entry``, ``candidates``, ``asm``,
+    A *layer* names a kind of payload (``entry``, ``candidates``,
     ``binary``, ``verdict``); a *key* is a hex digest computed by
     :meth:`key`, which always mixes in the schema version and the pipeline
     fingerprint.  JSON payloads are stored in an envelope that repeats the
@@ -564,8 +535,6 @@ __all__ = [
     "cache_from_args",
     "describe_stats",
     "json_digest",
-    "normalize_source",
     "open_cache",
     "pipeline_fingerprint",
-    "source_digest",
 ]

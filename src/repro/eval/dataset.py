@@ -291,11 +291,9 @@ def _entry_cache_key(
     isas: Sequence[str],
     opt_levels: Sequence[str],
 ) -> str:
-    from repro.eval.cache import source_digest
-
     return cache.key(
         "entry",
-        source_digest(source),
+        source,
         name,
         json.dumps([list(args) for args in inputs]),
         ",".join(isas),
@@ -319,11 +317,12 @@ def build_entry(
     """Materialise one triple: compile the grid, record the IO vectors.
 
     With ``cache`` (an :class:`repro.eval.cache.EvalCache`) the built
-    entry is stored content-addressed — keyed by the normalized source
-    token stream, the requested grid and the pipeline fingerprint — and a
-    later call with the same inputs loads it instead of compiling and
-    interpreting again.  ``uid``/``origin``/``seed`` are caller metadata
-    and always come from the current call, not the cache.
+    entry is stored content-addressed — keyed by the raw source text, the
+    requested grid and the pipeline fingerprint — and a later call with
+    the same inputs loads it instead of compiling and interpreting again.
+    A hit's ``source`` is therefore this call's text, byte for byte.
+    ``uid``/``origin``/``seed`` are caller metadata and always come from
+    the current call, not the cache.
     """
     key = None
     if cache is not None:

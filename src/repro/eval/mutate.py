@@ -645,9 +645,9 @@ class Mutator:
     def _candidate_key(self, cache, entry: DatasetEntry, count: int) -> str:
         """Content address of one certified candidate set.
 
-        The raw source text is part of the key (not the normalized token
-        stream): ``parse_break`` candidates are produced by slicing the
-        reference *text*, so formatting is observable in the output.
+        The raw source text is part of the key, as in every cache layer:
+        ``parse_break`` candidates are produced by slicing the reference
+        *text*, so formatting is observable in the output.
         """
         return cache.key(
             "candidates",

@@ -59,7 +59,6 @@ from repro.eval.cache import (
     cache_from_args,
     describe_stats,
     json_digest,
-    source_digest,
 )
 from repro.eval.dataset import (
     DatasetEntry,
@@ -82,8 +81,8 @@ from repro.testing.frontend import CaseContext
 
 
 def _token_texts(source: str) -> Optional[Tuple[str, ...]]:
-    # No cache of its own: ``tokenize``'s memo already holds the reference
-    # and the candidate the gate and the cache digest just lexed.
+    # No cache of its own: ``tokenize``'s memo already holds a candidate the
+    # gate just parsed and the reference every candidate of its set meets.
     try:
         return tuple(t.text for t in tokenize(source) if t.kind is not TokenKind.EOF)
     except LexError:
@@ -209,7 +208,6 @@ def _front_end_gate(
     name: str,
     backend: str,
     opt_level: str,
-    cache: Optional[EvalCache] = None,
     program: Optional[ast.Program] = None,
 ) -> Union[Tuple[str, str], CaseContext]:
     """Run parse -> typecheck -> compile; (verdict, detail) on failure.
@@ -218,39 +216,25 @@ def _front_end_gate(
     :func:`repro.eval.dataset.front_end_gate`, the same gate the mutation
     certifier uses — by construction the two cannot disagree on a
     candidate's front-end fate.  A candidate that carries its unchecked
-    AST (``program``, as repair neighbors do) skips only the parse; the
-    source text still keys the asm cache.
+    AST (``program``, as repair neighbors do) skips only the parse.
 
-    With ``cache`` the emitted assembly (or the compile error) is stored
-    keyed by the normalized token stream, so a warm run seeds the context
-    instead of lowering and emitting again.
+    The assembly is emitted through the survivor's :class:`CaseContext`,
+    which keeps it for the native leg.  Nothing here is cached:
+    :func:`score_entry_sets` sends each distinct candidate of a call here
+    at most once, and not at all on a verdict-memo hit.
     """
     gate = front_end_gate(source, name, program)
     if isinstance(gate[0], str):
         return gate
     program, checker = gate
     context = CaseContext(source, name, program=program, checker=checker)
-    isa = backend if backend != "none" else "x86"
-    asm_key = None
-    if cache is not None:
-        asm_key = cache.key("asm", source_digest(source), name, isa, opt_level)
-        cached = cache.get("asm", asm_key)
-        if cached is not None:
-            if cached.get("error"):
-                return "compile_error", cached["detail"]
-            context.seed_assembly(isa, opt_level, cached["text"])
-            return context
     try:
         # The gate always emits real assembly — even when execution later
         # happens on the interpreter — so verdicts do not depend on the
         # execution substrate.
-        assembly = context.assembly(isa, opt_level)
+        context.assembly(backend if backend != "none" else "x86", opt_level)
     except CompileError as exc:
-        if cache is not None and asm_key is not None:
-            cache.put("asm", asm_key, {"error": True, "detail": str(exc)})
         return "compile_error", str(exc)
-    if cache is not None and asm_key is not None:
-        cache.put("asm", asm_key, {"error": False, "text": assembly})
     return context
 
 
@@ -288,7 +272,6 @@ def _stage_candidates(
     candidates: Sequence[Candidate],
     backend: str,
     opt_level: str,
-    cache: Optional[EvalCache] = None,
 ) -> Tuple[List[CandidateScore], List[Tuple[int, CaseContext]]]:
     """Front-end gate for one candidate set.
 
@@ -299,7 +282,7 @@ def _stage_candidates(
     survivors: List[Tuple[int, CaseContext]] = []
     for index, candidate in enumerate(candidates):
         gate = _front_end_gate(
-            candidate.text, entry.name, backend, opt_level, cache, candidate.program
+            candidate.text, entry.name, backend, opt_level, candidate.program
         )
         similarity = edit_similarity(candidate.text, entry.source)
         # A survivor's verdict and detail are filled in once it has executed.
@@ -354,13 +337,13 @@ def score_candidates(
     assembly).  Natively, the surviving candidates share fork-server
     batches exactly as in :func:`score_dataset`.
     """
-    return _score_entries(
+    return score_entry_sets(
         [entry],
         [candidates],
+        cache,
         backend=backend,
         opt_level=opt_level,
         run_timeout=run_timeout,
-        cache=cache,
         workdir=workdir,
     )[0]
 
@@ -405,7 +388,7 @@ def _score_entries(
     """
     if backend == "none":
         staged = [
-            _stage_candidates(entry, candidates, backend, opt_level, cache)
+            _stage_candidates(entry, candidates, backend, opt_level)
             for entry, candidates in zip(entries, candidate_sets)
         ]
         for entry, (scores, survivors) in zip(entries, staged):
@@ -419,9 +402,7 @@ def _score_entries(
 
     def units():
         for entry, candidates in zip(entries, candidate_sets):
-            scores, survivors = _stage_candidates(
-                entry, candidates, backend, opt_level, cache
-            )
+            scores, survivors = _stage_candidates(entry, candidates, backend, opt_level)
             staged.append((scores, survivors))
             yield [
                 native.BatchCase(
@@ -539,68 +520,69 @@ def score_entry_sets(
 ) -> List[List[CandidateScore]]:
     """Score many (entry, candidate set) pairs: the reusable scoring seam.
 
-    This is :func:`_score_entries` behind the verdict memo + in-run dedupe
-    — the exact unit one ``--jobs`` worker runs, and what the scoring
-    service executes per request.  Candidates whose memo key hits (a
-    previous run, round or campaign judged the same text against the same
-    reference) never reach the gate or the harness; candidates that are
-    byte-identical *within* one set execute once and fan the verdict out.
-    The reduced unique-miss sets go through the untouched
-    :func:`_score_entries` machinery, so a warm report is byte-identical
-    to a cold one by construction.
+    This is :func:`_score_entries` behind in-run dedupe and the verdict
+    memo — the exact unit one ``--jobs`` worker runs, and what the scoring
+    service executes per request.  A candidate whose verdict key (its text,
+    its entry's reference, name, IO vectors and reference observations) is
+    already planned anywhere in the call runs once, and its payload fans
+    out to every set that holds it; this holds with or without ``cache``.
+    With ``cache``, candidates whose memo hits (a previous run, round or
+    campaign judged the same text against the same reference) never reach
+    the gate or the harness, and every executed verdict is stored.  The
+    reduced unique-miss sets go through :func:`_score_entries`, so a warm
+    or ``--no-cache`` report is byte-identical to a cold one by
+    construction.
 
     ``kwargs`` are :func:`_score_entries`'s: ``backend``, ``opt_level``,
     ``run_timeout``, ``workdir``.
     """
-    if cache is None:
-        return _score_entries(entries, candidate_sets, **kwargs)
     backend = kwargs.get("backend", "x86")
     opt_level = kwargs.get("opt_level", "O0")
     run_timeout = kwargs.get("run_timeout", 10.0)
 
-    memo: Dict[str, Dict[str, Any]] = {}
-    plans = []  # per entry: (keys per candidate, unique miss keys+candidates)
-    for entry, candidates in zip(entries, candidate_sets):
-        keys: List[str] = []
-        unique_keys: List[str] = []
-        unique_candidates: List[Candidate] = []
+    payloads: Dict[Tuple[str, ...], Dict[str, Any]] = {}
+    planned = set()
+    set_keys: List[List[Tuple[str, ...]]] = []
+    # Per set position: (key, memo key or None, candidate) of each miss.
+    misses: Dict[int, List[Tuple[Tuple[str, ...], Optional[str], Candidate]]] = {}
+    for position, (entry, candidates) in enumerate(zip(entries, candidate_sets)):
         entry_parts = _entry_key_parts(entry)
-        for candidate in candidates:
-            key = _verdict_key(
-                cache, entry, candidate.text, backend, opt_level, run_timeout, entry_parts
-            )
-            keys.append(key)
-            if key in memo:
+        keys = [(c.text, entry.source, entry.name) + entry_parts for c in candidates]
+        set_keys.append(keys)
+        for key, candidate in zip(keys, candidates):
+            if key in planned:
                 continue
-            payload = cache.get("verdict", key)
-            if payload is not None:
-                memo[key] = payload
-                continue
-            if key not in unique_keys:
-                unique_keys.append(key)
-                unique_candidates.append(candidate)
-        plans.append((keys, unique_keys, unique_candidates))
+            planned.add(key)
+            memo_key = None
+            if cache is not None:
+                memo_key = _verdict_key(
+                    cache, entry, candidate.text, backend, opt_level, run_timeout, entry_parts
+                )
+                payload = cache.get("verdict", memo_key)
+                if payload is not None:
+                    payloads[key] = payload
+                    continue
+            misses.setdefault(position, []).append((key, memo_key, candidate))
 
-    miss_positions = [p for p, plan in enumerate(plans) if plan[2]]
-    if miss_positions:
+    if misses:
         sub_scores = _score_entries(
-            [entries[p] for p in miss_positions],
-            [plans[p][2] for p in miss_positions],
+            [entries[p] for p in misses],
+            [[candidate for _, _, candidate in misses[p]] for p in misses],
             cache=cache,
             **kwargs,
         )
-        for position, scores in zip(miss_positions, sub_scores):
-            for key, score in zip(plans[position][1], scores):
-                payload = score_to_payload(score)
-                cache.put("verdict", key, payload)
-                memo[key] = payload
+        for position, scores in zip(misses, sub_scores):
+            for (key, memo_key, _), score in zip(misses[position], scores):
+                payloads[key] = score_to_payload(score)
+                if memo_key is not None:
+                    cache.put("verdict", memo_key, payloads[key])
 
     return [
         [
-            score_from_payload(memo[key], index, candidate)
+            score_from_payload(payloads[key], index, candidate)
             for index, (key, candidate) in enumerate(zip(keys, candidates))
         ]
-        for candidates, (keys, _, _) in zip(candidate_sets, plans)
+        for candidates, keys in zip(candidate_sets, set_keys)
     ]
 
 

@@ -27,9 +27,6 @@ class CType:
     def is_pointer(self) -> bool:
         return False
 
-    def is_scalar(self) -> bool:
-        return self.is_arithmetic() or self.is_pointer()
-
     def sizeof(self) -> int:
         raise NotImplementedError
 

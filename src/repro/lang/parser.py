@@ -110,18 +110,6 @@ class Parser:
 
     # -- type parsing -------------------------------------------------------
 
-    def _at_type_start(self) -> bool:
-        token = self._peek()
-        if token.kind is TokenKind.KEYWORD and token.text in _TYPE_KEYWORDS:
-            return True
-        if token.kind is TokenKind.KEYWORD and token.text in (
-            "static", "extern", "inline", "typedef"
-        ):
-            return True
-        if token.kind is TokenKind.IDENT and token.text in self.typedef_names:
-            return True
-        return False
-
     def _parse_type_specifier(self) -> ct.CType:
         """Parse a type specifier (no declarator part)."""
         # Skip qualifiers.
@@ -704,12 +692,3 @@ def _const_int(expr: ast.Expr) -> Optional[int]:
 def parse_program(source: str) -> ast.Program:
     """Parse Mini-C ``source`` into an AST (convenience wrapper)."""
     return Parser(tokenize(source)).parse_program()
-
-
-def parse_function(source: str) -> ast.FunctionDef:
-    """Parse a source snippet expected to contain exactly one function."""
-    program = parse_program(source)
-    functions = program.functions()
-    if not functions:
-        raise ParseError("no function definition found")
-    return functions[0]

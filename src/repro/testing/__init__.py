@@ -27,49 +27,28 @@ and reports the first observable divergence:
   (``--jobs N`` worker pool, ``--batch-size``, deterministic aggregation).
 """
 
-from typing import List
+import importlib
+from typing import Dict, List
 
-__all__: List[str] = [
-    "GeneratedCase",
-    "ProgramGenerator",
-    "Divergence",
-    "Oracle",
-    "IRExecutor",
-    "reduce_case",
-    "CaseContext",
-    "NativeBatch",
-    "FuzzConfig",
-    "run_campaign",
-]
+#: Every export, mapped to the submodule that defines it; imported lazily.
+_EXPORTS: Dict[str, str] = {
+    "GeneratedCase": "generator",
+    "ProgramGenerator": "generator",
+    "Divergence": "oracle",
+    "Oracle": "oracle",
+    "IRExecutor": "irexec",
+    "reduce_case": "reduce",
+    "CaseContext": "frontend",
+    "NativeBatch": "native",
+    "FuzzConfig": "fuzz",
+    "run_campaign": "fuzz",
+}
+
+__all__: List[str] = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in ("GeneratedCase", "ProgramGenerator"):
-        from repro.testing import generator
-
-        return getattr(generator, name)
-    if name in ("Divergence", "Oracle"):
-        from repro.testing import oracle
-
-        return getattr(oracle, name)
-    if name == "IRExecutor":
-        from repro.testing.irexec import IRExecutor
-
-        return IRExecutor
-    if name == "reduce_case":
-        from repro.testing.reduce import reduce_case
-
-        return reduce_case
-    if name == "CaseContext":
-        from repro.testing.frontend import CaseContext
-
-        return CaseContext
-    if name == "NativeBatch":
-        from repro.testing.native import NativeBatch
-
-        return NativeBatch
-    if name in ("FuzzConfig", "run_campaign"):
-        from repro.testing import fuzz
-
-        return getattr(fuzz, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

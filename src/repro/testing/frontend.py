@@ -129,15 +129,6 @@ class CaseContext:
         self._lowered.clear()
         self._ir_cache = None
 
-    def seed_assembly(self, isa: str, opt_level: str, text: str) -> None:
-        """Pre-populate one (ISA, opt level) assembly leg with known text.
-
-        Callers holding already-emitted assembly (a dataset entry's grid,
-        a cache hit) seed it here so :meth:`assembly` returns it without
-        re-lowering — the text must be what emission would produce.
-        """
-        self._assembly[(isa, opt_level)] = text
-
     # -- type information (used by the native harnesses) ----------------------
 
     def resolve(self, t: ct.CType) -> ct.CType:

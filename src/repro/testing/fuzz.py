@@ -404,7 +404,7 @@ def _run(args: argparse.Namespace, config: FuzzConfig, oracle: Oracle) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.sanitize and oracle.sanitizer_config is None:
+    if args.sanitize and not oracle.sanitize:
         print(
             "error: --sanitize needs the host gcc toolchain "
             "(the instrumented leg compiles each case's source as C)",

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.sanitize import SanitizerBatch, SanitizerConfig
+from repro.analysis.sanitize import SanitizerBatch
 from repro.analysis.verifier import IRVerificationError
 from repro.lang.interpreter import CInterpreterError, RuntimeLimitExceeded
 from repro.testing import native
@@ -121,8 +121,8 @@ class Divergence:
     harness reports: ``"io"`` (the classic observable-state mismatch),
     ``"ir-verifier"`` (a typed-invariant violation caught *before* any leg
     executed — ``diverging_leg`` names the offending pass and ``detail``
-    carries the pass-attributed diagnostics) and ``"sanitizer"`` (UBSan/
-    ASan reports from the instrumented C leg, in ``detail``).  The latter
+    carries the pass-attributed diagnostics) and ``"sanitizer"`` (UBSan
+    reports from the instrumented C leg, in ``detail``).  The latter
     two have no per-input outcomes (``input_index`` is -1).
     """
 
@@ -208,9 +208,8 @@ class Oracle:
     first-class :class:`Divergence` with ``category="ir-verifier"``.
     ``ir_transform`` mutates the lowered IR first — the IR-level analogue
     of ``asm_transform``, used to prove the verifier catches injected
-    breakage.  ``sanitize`` adds the report-only UBSan/ASan C leg of
-    :mod:`repro.analysis.sanitize` (requires the x86 toolchain); pass
-    ``True`` for the default config or a :class:`SanitizerConfig`.
+    breakage.  ``sanitize`` adds the report-only UBSan C leg of
+    :mod:`repro.analysis.sanitize` (requires the x86 toolchain).
 
     Native legs run through :class:`repro.testing.native.GroupedBatchRunner`,
     one runner per backend, whose batches hold both opt levels of every
@@ -231,16 +230,12 @@ class Oracle:
         require_native: bool = False,
         verify_ir: bool = True,
         ir_transform=None,
-        sanitize: Union[bool, SanitizerConfig, None] = None,
+        sanitize: bool = False,
     ) -> None:
         self.asm_transform = asm_transform
         self.verify_ir = verify_ir
         self.ir_transform = ir_transform
-        self.sanitizer_config: Optional[SanitizerConfig] = None
-        if sanitize:
-            self.sanitizer_config = (
-                sanitize if isinstance(sanitize, SanitizerConfig) else SanitizerConfig()
-            )
+        self.sanitize = sanitize
         self._batch_counter = 0
         self.native_backends: List[str] = []
         for backend in [b for b in backends if b]:
@@ -253,10 +248,10 @@ class Oracle:
                 self.native_backends.append(backend)
             elif require_native:
                 raise OracleError(f"no toolchain for the {backend!r} backend")
-        if self.sanitizer_config is not None and not native.have_native_toolchain():
+        if self.sanitize and not native.have_native_toolchain():
             if require_native:
                 raise OracleError("no host toolchain for the sanitizer leg")
-            self.sanitizer_config = None
+            self.sanitize = False
         # Made last, so a refused configuration leaves no directory behind.
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         if workdir is None:
@@ -343,7 +338,7 @@ class Oracle:
         Raises :class:`OracleError` when the instrumented binary itself is
         broken (build failure, death outside any case).
         """
-        if self.sanitizer_config is None or not entries:
+        if not self.sanitize or not entries:
             return {}
         batch_cases = [
             native.BatchCase(
@@ -359,7 +354,6 @@ class Oracle:
             batch = SanitizerBatch(
                 batch_cases,
                 self.workdir,
-                self.sanitizer_config,
                 tag=f"san{self._batch_counter}",
             )
             by_case = batch.reports_by_case()
@@ -673,7 +667,7 @@ class Oracle:
 
         # Instrumented C leg, last: report-only, so IO divergences keep
         # precedence and only still-clean cases are submitted.
-        if self.sanitizer_config is not None:
+        if self.sanitize:
             clean = [index for index in prepared.active if verdicts[index] is None]
             entries = []
             for index in clean:

@@ -754,6 +754,7 @@ def test_scorer_charges_compile_error_to_the_unlinkable_candidate_alone(monkeypa
     from repro.eval import score
     from repro.eval.dataset import generated_entries
     from repro.eval.mutate import Mutator
+    from repro.testing.frontend import CaseContext
 
     entries = generated_entries(17, 4, max_stmts=8, isas=("x86",), opt_levels=("O0",))
     sets = [Mutator(entry.seed).candidates(entry, 6) for entry in entries]
@@ -767,17 +768,13 @@ def test_scorer_charges_compile_error_to_the_unlinkable_candidate_alone(monkeypa
     target_function, target_candidate = survivors[len(survivors) // 2]
     poisoned_text = sets[target_function][target_candidate].text
 
-    original_gate = score._front_end_gate
+    original_assembly = CaseContext.assembly
 
-    def gate(source, name, backend, opt_level, cache=None, program=None):
-        result = original_gate(source, name, backend, opt_level, cache, program)
-        if source == poisoned_text and not isinstance(result, tuple):
-            result.seed_assembly(
-                backend, opt_level, _unlinkable(result.assembly(backend, opt_level))
-            )
-        return result
+    def assembly(self, isa, opt_level):
+        text = original_assembly(self, isa, opt_level)
+        return _unlinkable(text) if self.source == poisoned_text else text
 
-    monkeypatch.setattr(score, "_front_end_gate", gate)
+    monkeypatch.setattr(CaseContext, "assembly", assembly)
     poisoned = score.score_dataset(entries, sets, backend="x86")
 
     for f, (before, after) in enumerate(zip(clean["functions"], poisoned["functions"])):

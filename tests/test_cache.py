@@ -29,10 +29,8 @@ from repro.eval.cache import (
     SCHEMA_VERSION,
     describe_stats,
     json_digest,
-    normalize_source,
     open_cache,
     pipeline_fingerprint,
-    source_digest,
 )
 from repro.eval.dataset import (
     _entry_cache_key,
@@ -42,8 +40,13 @@ from repro.eval.dataset import (
     entry_from_json,
     generated_entries,
 )
-from repro.eval.mutate import Mutator
-from repro.eval.score import _entry_key_parts, _verdict_key, score_dataset
+from repro.eval.mutate import Candidate, Mutator
+from repro.eval.score import (
+    _entry_key_parts,
+    _verdict_key,
+    score_candidates,
+    score_dataset,
+)
 from repro.testing.native import have_native_toolchain
 
 needs_toolchain = pytest.mark.skipif(
@@ -53,7 +56,7 @@ needs_toolchain = pytest.mark.skipif(
 
 
 # ---------------------------------------------------------------------------
-# Keys and normalization
+# Keys
 # ---------------------------------------------------------------------------
 
 
@@ -65,21 +68,6 @@ def test_keys_are_stable_and_distinct(tmp_path):
     # Keys are full sha256 digests (the fingerprint itself is one too).
     assert len(cache.key("x")) == 64
     assert len(pipeline_fingerprint()) == 64
-
-
-def test_normalize_source_is_formatting_insensitive():
-    a = "int f(int x) { return x + 1; }"
-    b = "int f(int x)\n{\n    return x   + 1;\n}\n"
-    assert normalize_source(a) == normalize_source(b)
-    assert source_digest(a) == source_digest(b)
-    # Different token streams stay distinct.
-    assert source_digest(a) != source_digest("int f(int x) { return x + 2; }")
-
-
-def test_normalize_source_unlexable_never_collides():
-    broken = "int f() { return `; }"
-    assert normalize_source(broken).startswith("\x00unlexable\x00")
-    assert normalize_source(broken) != normalize_source("int f ( ) { return ; }")
 
 
 def test_json_digest_is_order_canonical():
@@ -182,13 +170,13 @@ def test_absorb_folds_worker_stats(tmp_path):
             "evictions": 2,
             "layers": {
                 "verdict": {"hits": 3, "misses": 1, "stores": 1, "corrupt": 0},
-                "asm": {"hits": 1, "misses": 0, "stores": 0, "corrupt": 0},
+                "binary": {"hits": 1, "misses": 0, "stores": 0, "corrupt": 0},
             },
         }
     )
     summary = cache.stats_summary()
     assert summary["layers"]["verdict"]["hits"] == 4
-    assert summary["layers"]["asm"]["hits"] == 1
+    assert summary["layers"]["binary"]["hits"] == 1
     assert summary["evictions"] == 2
     # A second worker's summary accumulates on top of the first.
     cache.absorb(summary)
@@ -615,8 +603,8 @@ def test_flush_keeps_a_newer_put(tmp_path):
 
 
 def test_key_formulas_are_unchanged(tmp_path):
-    """The verdict and entry keys hash exactly the parts, in the order, that
-    every existing cache was written with."""
+    """The verdict and entry keys hash exactly these parts, in this order;
+    both name their source by its raw text."""
     reference = "int f(int a, int b)\n{ return a + b; }"
     inputs = [(1, 2), (-3, 4)]
     entry = build_entry(
@@ -645,9 +633,8 @@ def test_key_formulas_are_unchanged(tmp_path):
     )
     parts = _entry_key_parts(entry)
     assert _verdict_key(cache, entry, text, "x86", "O0", 10.0, parts) == expected
-    normalized = hashlib.sha256(normalize_source(reference).encode("utf-8")).hexdigest()
     assert _entry_cache_key(cache, reference, "f", inputs, ("x86",), ("O0",)) == formula(
-        "entry", normalized, "f", json.dumps([[1, 2], [-3, 4]]), "x86", "O0"
+        "entry", reference, "f", json.dumps([[1, 2], [-3, 4]]), "x86", "O0"
     )
 
 
@@ -679,6 +666,34 @@ def test_entry_cache_hit_round_trips_through_builder(tmp_path):
     [warm] = generated_entries(7, 1, max_stmts=5, cache=warm_cache)
     assert warm.to_json() == cold.to_json()
     assert warm_cache.stats_summary()["layers"]["entry"]["hits"] == 1
+
+
+def test_entry_hit_is_the_callers_own_formatting(tmp_path):
+    """The entry layer is keyed by the raw reference text.  A reference that
+    differs from a cached one in formatting alone builds its own entry, so
+    its ``source`` and the similarity of a candidate the lexer rejects
+    (measured on whitespace tokens, where formatting counts) are the cold
+    answers."""
+    inputs = [(1,), (5,)]
+    spaced = "int f(int x) { return x + 1; }"
+    tight = "int f(int x){return x+1;}"
+    unlexable = [Candidate("int f(int x) { return x + 1; } @", "", "", "")]
+
+    def build(source, cache=None):
+        return build_entry(
+            source, "f", inputs, "uid", "test", isas=("x86",), opt_levels=("O0",),
+            cache=cache,
+        )
+
+    [cold] = score_candidates(build(tight), unlexable, backend="none")
+    assert cold.similarity == 0.2
+
+    cache = EvalCache(tmp_path)
+    build(spaced, cache)
+    entry = build(tight, cache)
+    assert entry.source == tight
+    [warm] = score_candidates(entry, unlexable, backend="none", cache=cache)
+    assert warm.to_json() == cold.to_json()
 
 
 def test_loaded_entries_feed_the_mutator():

@@ -6,15 +6,17 @@ repair-neighbor stream is deterministic and RNG-free, single-edit breaks
 are inverted byte-exactly, campaigns are byte-identical across reruns /
 ``--resume`` / any ``--jobs`` count, and the zero-target degenerate case
 neither crashes nor divides by zero.  The native x86 path is exercised by
-the CI ``repair-smoke`` job.
+the CI ``repair-smoke`` job, and here by the in-run dedupe test, which
+counts what reaches the fork servers.
 """
 
 import json
 
 import pytest
 
-from repro.eval.dataset import generated_entries
-from repro.eval.mutate import Mutator, _op_alternatives, repair_neighbors
+from repro.eval.cache import EvalCache
+from repro.eval.dataset import build_entry, generated_entries
+from repro.eval.mutate import Candidate, Mutator, _op_alternatives, repair_neighbors
 from repro.eval.repair import (
     REPAIRABLE_VERDICTS,
     RepairConfig,
@@ -27,6 +29,7 @@ from repro.eval.repair import (
 from repro.eval.score import CandidateScore
 from repro.lang.parser import parse_program
 from repro.lang.printer import print_program
+from repro.testing.native import have_native_toolchain
 
 
 def _small_dataset(seed=9, functions=4, candidates=6):
@@ -207,3 +210,69 @@ def test_campaign_with_no_targets():
     assert aggregate["repair_rate"] == 1.0
     assert aggregate["io_mismatch_repair_rate"] == 1.0
     assert campaign["targets"] == []
+
+
+@pytest.mark.skipif(
+    not have_native_toolchain(), reason="requires an x86-64 host with GNU as and gcc"
+)
+def test_a_neighbor_two_targets_share_runs_once_per_round(tmp_path, monkeypatch):
+    """Two targets on one entry propose the same neighbors in one round: each
+    (entry, text) reaches the fork servers once, with or without a cache,
+    and the campaign is byte-identical either way."""
+    from repro.eval import repair
+    from repro.testing import native
+
+    entry = build_entry(
+        "int f(int a, int b) {\n    return a + b;\n}\n",
+        "f",
+        [(1, 2), (5, -3), (-7, 4)],
+        "pair",
+        "test",
+        isas=("x86",),
+        opt_levels=("O0",),
+    )
+    # Both near misses propose ``a + b``, ``a``, ``b`` and an empty body.
+    sets = [
+        [
+            Candidate(f"int f(int a, int b) {{\n    return a {op} b;\n}}\n", "", op, "")
+            for op in "-*"
+        ]
+    ]
+    rounds = []
+    real_score_entry_sets = repair.score_entry_sets
+    real_run = native.GroupedBatchRunner.run
+
+    def scoring_round(entries, candidate_sets, *args, **kwargs):
+        rounds.append(
+            {
+                "submitted": [c.text for cs in candidate_sets for c in cs],
+                "executed": [],
+            }
+        )
+        return real_score_entry_sets(entries, candidate_sets, *args, **kwargs)
+
+    def run(self, units):
+        def recorded():
+            for unit in units:
+                if rounds:
+                    rounds[-1]["executed"].extend(
+                        (case.name, case.source, repr(case.inputs)) for case in unit
+                    )
+                yield unit
+
+        yield from real_run(self, recorded())
+
+    monkeypatch.setattr(repair, "score_entry_sets", scoring_round)
+    monkeypatch.setattr(native.GroupedBatchRunner, "run", run)
+    config = RepairConfig(backend="x86", budget=16, chunk=8)
+
+    documents = []
+    for cache in (None, EvalCache(tmp_path)):
+        rounds.clear()
+        documents.append(json.dumps(repair.repair_campaign([entry], sets, config, cache=cache)))
+        assert any(len(set(r["submitted"])) < len(r["submitted"]) for r in rounds)
+        for r in rounds:
+            assert r["executed"], "every neighbor here is new to the cache"
+            assert len(set(r["executed"])) == len(r["executed"])
+    assert documents[0] == documents[1]
+    assert json.loads(documents[0])["aggregate"]["repaired"] == 2
