@@ -55,9 +55,13 @@ VARIADIC_CALLEES = frozenset(
 #: Non-width IRCast kinds (width casts live in ir.WIDTH_CASTS).
 _CLASS_CASTS = ("i2f", "f2i", "f2f")
 
-_UNARY_OPS = ("neg", "not")
+_BIN_OPS = frozenset(ir.BIN_OPS)
 
-_LOAD_STORE_SIZES = (1, 2, 4, 8)
+_CMP_OPS = frozenset(ir.CMP_OPS)
+
+_UNARY_OPS = frozenset({"neg", "not"})
+
+_LOAD_STORE_SIZES = frozenset({1, 2, 4, 8})
 
 
 @dataclass(frozen=True)
@@ -179,27 +183,48 @@ class _FunctionVerifier:
     def run(self) -> List[Diagnostic]:
         self._collect_labels()
         for param in self.func.params:
-            self._define(param)
+            self._define_param(param)
+        defined = self.defined
+        const_values = self.const_values
+        checks = _CHECKS
         for index, instr in enumerate(self.func.instrs):
-            self._check_uses(index, instr)
-            self._check_instr(index, instr)
+            for reg in instr.uses():
+                seen = defined.get(reg.id)
+                # Lowering hands the same VReg object to every use, so the
+                # identity test settles almost every register without ``==``.
+                if seen is not reg:
+                    self._check_use(index, instr, reg, seen)
+            check = checks.get(instr.__class__)
+            if check is None:
+                self.report(index, instr, f"unknown instruction {type(instr).__name__}")
+            else:
+                check(self, index, instr)
             for dst in instr.defs():
-                self._define(dst, index, instr)
-                if isinstance(instr, ir.IRConst) and isinstance(instr.value, int):
-                    self.const_values[dst.id] = instr.value
+                seen = defined.get(dst.id)
+                if seen is not None and seen is not dst:
+                    self._check_redefinition(index, instr, dst, seen)
+                defined[dst.id] = dst
+                if instr.__class__ is ir.IRConst and isinstance(instr.value, int):
+                    const_values[dst.id] = instr.value
                 else:
-                    self.const_values[dst.id] = None
+                    const_values[dst.id] = None
         self._check_terminator()
         return self.diagnostics
 
-    def _define(
-        self,
-        reg: ir.VReg,
-        index: int = -1,
-        instr: Optional[ir.IRInstr] = None,
-    ) -> None:
+    def _define_param(self, reg: ir.VReg) -> None:
         seen = self.defined.get(reg.id)
-        if seen is not None and seen != reg:
+        if seen is not None:
+            self._check_redefinition(-1, None, reg, seen)
+        self.defined[reg.id] = reg
+
+    def _check_redefinition(
+        self,
+        index: int,
+        instr: Optional[ir.IRInstr],
+        reg: ir.VReg,
+        seen: ir.VReg,
+    ) -> None:
+        if seen != reg:
             self.report(
                 index,
                 instr,
@@ -208,13 +233,12 @@ class _FunctionVerifier:
                 f"unsigned={reg.unsigned}); originally (float={seen.is_float}, "
                 f"bits={seen.bits}, unsigned={seen.unsigned})",
             )
-        self.defined[reg.id] = reg
 
     # -- structural checks --------------------------------------------------
 
     def _collect_labels(self) -> None:
         for index, instr in enumerate(self.func.instrs):
-            if isinstance(instr, ir.IRLabel):
+            if instr.__class__ is ir.IRLabel:
                 if instr.name in self.labels:
                     self.report(
                         index,
@@ -225,20 +249,26 @@ class _FunctionVerifier:
                 else:
                     self.labels[instr.name] = index
 
-    def _check_uses(self, index: int, instr: ir.IRInstr) -> None:
-        for reg in instr.uses():
-            seen = self.defined.get(reg.id)
-            if seen is None:
-                self.report(index, instr, f"use of undefined register {reg}")
-            elif seen != reg:
-                self.report(
-                    index,
-                    instr,
-                    f"register {reg} used with annotation (float={reg.is_float}, "
-                    f"bits={reg.bits}, unsigned={reg.unsigned}) but defined with "
-                    f"(float={seen.is_float}, bits={seen.bits}, "
-                    f"unsigned={seen.unsigned})",
-                )
+    def _check_use(
+        self,
+        index: int,
+        instr: ir.IRInstr,
+        reg: ir.VReg,
+        seen: Optional[ir.VReg],
+    ) -> None:
+        """Report a use of ``reg`` whose definition ``seen`` is missing or
+        carries another annotation."""
+        if seen is None:
+            self.report(index, instr, f"use of undefined register {reg}")
+        elif seen != reg:
+            self.report(
+                index,
+                instr,
+                f"register {reg} used with annotation (float={reg.is_float}, "
+                f"bits={reg.bits}, unsigned={reg.unsigned}) but defined with "
+                f"(float={seen.is_float}, bits={seen.bits}, "
+                f"unsigned={seen.unsigned})",
+            )
 
     def _check_target(self, index: int, instr: ir.IRInstr, target: str) -> None:
         if target not in self.labels:
@@ -269,7 +299,7 @@ class _FunctionVerifier:
         unsigned: bool,
         what: str,
     ) -> None:
-        if isinstance(operand, ir.VReg):
+        if operand.__class__ is ir.VReg:
             if operand.is_float:
                 self.report(
                     index, instr, f"{what} is a float register in an integer op"
@@ -284,7 +314,7 @@ class _FunctionVerifier:
                         f"{what} {operand} holds immediate {known}, which is "
                         f"not wrapped at (bits={bits}, unsigned={unsigned})",
                     )
-            elif not _operand_representable(operand, bits, unsigned):
+            elif bits < 64 and not _operand_representable(operand, bits, unsigned):
                 kind = (
                     "missing narrowing cast"
                     if operand.bits > bits
@@ -328,42 +358,25 @@ class _FunctionVerifier:
 
     # -- per-instruction checks ---------------------------------------------
 
-    def _check_instr(self, index: int, instr: ir.IRInstr) -> None:
-        if isinstance(instr, ir.IRConst):
-            self._check_const(index, instr)
-        elif isinstance(instr, ir.IRMove):
-            self._check_move(index, instr)
-        elif isinstance(instr, ir.IRBinOp):
-            self._check_binop(index, instr)
-        elif isinstance(instr, ir.IRCmp):
-            self._check_cmp(index, instr)
-        elif isinstance(instr, ir.IRUnary):
-            self._check_unary(index, instr)
-        elif isinstance(instr, ir.IRCast):
-            self._check_cast(index, instr)
-        elif isinstance(instr, ir.IRLoad):
-            self._check_load(index, instr)
-        elif isinstance(instr, ir.IRStore):
-            self._check_store(index, instr)
-        elif isinstance(instr, ir.IRFrameAddr):
-            if instr.slot not in self.func.slots:
-                self.report(index, instr, f"frameaddr of unknown slot {instr.slot!r}")
-            self._check_address_dst(index, instr, instr.dst)
-        elif isinstance(instr, ir.IRGlobalAddr):
-            self._check_address_dst(index, instr, instr.dst)
-        elif isinstance(instr, ir.IRCall):
-            self._check_call(index, instr)
-        elif isinstance(instr, ir.IRJump):
-            self._check_target(index, instr, instr.target)
-        elif isinstance(instr, ir.IRBranch):
-            self._check_target(index, instr, instr.true_target)
-            self._check_target(index, instr, instr.false_target)
-            if instr.cond.is_float:
-                self.report(index, instr, "branch condition is a float register")
-        elif isinstance(instr, ir.IRRet):
-            self._check_ret(index, instr)
-        elif not isinstance(instr, ir.IRLabel):
-            self.report(index, instr, f"unknown instruction {type(instr).__name__}")
+    def _check_frame_addr(self, index: int, instr: ir.IRFrameAddr) -> None:
+        if instr.slot not in self.func.slots:
+            self.report(index, instr, f"frameaddr of unknown slot {instr.slot!r}")
+        self._check_address_dst(index, instr, instr.dst)
+
+    def _check_global_addr(self, index: int, instr: ir.IRGlobalAddr) -> None:
+        self._check_address_dst(index, instr, instr.dst)
+
+    def _check_jump(self, index: int, instr: ir.IRJump) -> None:
+        self._check_target(index, instr, instr.target)
+
+    def _check_branch(self, index: int, instr: ir.IRBranch) -> None:
+        self._check_target(index, instr, instr.true_target)
+        self._check_target(index, instr, instr.false_target)
+        if instr.cond.is_float:
+            self.report(index, instr, "branch condition is a float register")
+
+    def _check_label(self, index: int, instr: ir.IRLabel) -> None:
+        """Labels are checked once, up front, by :meth:`_collect_labels`."""
 
     def _check_address_dst(
         self, index: int, instr: ir.IRInstr, dst: ir.VReg
@@ -397,7 +410,7 @@ class _FunctionVerifier:
         )
 
     def _check_binop(self, index: int, instr: ir.IRBinOp) -> None:
-        if instr.op not in ir.BIN_OPS:
+        if instr.op not in _BIN_OPS:
             self.report(index, instr, f"unknown binary op {instr.op!r}")
             return
         if instr.is_float:
@@ -427,7 +440,7 @@ class _FunctionVerifier:
             )
 
     def _check_cmp(self, index: int, instr: ir.IRCmp) -> None:
-        if instr.op not in ir.CMP_OPS:
+        if instr.op not in _CMP_OPS:
             self.report(index, instr, f"unknown comparison op {instr.op!r}")
             return
         if instr.dst.is_float:
@@ -605,6 +618,28 @@ class _FunctionVerifier:
             self.report(
                 index, instr, "float register returned from an integer function"
             )
+
+
+#: Per-instruction checks, keyed by the instruction's exact class (one dict
+#: lookup per instruction instead of an isinstance chain).  A class with no
+#: entry gets the ``unknown instruction`` diagnostic.
+_CHECKS = {
+    ir.IRConst: _FunctionVerifier._check_const,
+    ir.IRMove: _FunctionVerifier._check_move,
+    ir.IRBinOp: _FunctionVerifier._check_binop,
+    ir.IRCmp: _FunctionVerifier._check_cmp,
+    ir.IRUnary: _FunctionVerifier._check_unary,
+    ir.IRCast: _FunctionVerifier._check_cast,
+    ir.IRLoad: _FunctionVerifier._check_load,
+    ir.IRStore: _FunctionVerifier._check_store,
+    ir.IRFrameAddr: _FunctionVerifier._check_frame_addr,
+    ir.IRGlobalAddr: _FunctionVerifier._check_global_addr,
+    ir.IRCall: _FunctionVerifier._check_call,
+    ir.IRJump: _FunctionVerifier._check_jump,
+    ir.IRBranch: _FunctionVerifier._check_branch,
+    ir.IRRet: _FunctionVerifier._check_ret,
+    ir.IRLabel: _FunctionVerifier._check_label,
+}
 
 
 # ---------------------------------------------------------------------------

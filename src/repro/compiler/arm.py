@@ -21,7 +21,7 @@ saved by an initial ``stp`` so incoming stack arguments sit at ``x29 + 16``.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import ir
 from repro.compiler.regalloc import Allocation
@@ -33,6 +33,17 @@ _CC_SIGNED = {"eq": "eq", "ne": "ne", "lt": "lt", "le": "le", "gt": "gt", "ge": 
 _CC_UNSIGNED = {"eq": "eq", "ne": "ne", "lt": "lo", "le": "ls", "gt": "hi", "ge": "hs"}
 #: fcmp condition codes (mi/ls are the unordered-safe forms GCC uses).
 _CC_FLOAT = {"eq": "eq", "ne": "ne", "lt": "mi", "le": "ls", "gt": "gt", "ge": "ge"}
+
+
+#: (size, unsigned) -> the load that refills a narrow spill slot with the
+#: value's own extension (unsigned loads target the ``w`` register).
+_SPILL_LOADS = {
+    (1, False): "ldrsb", (1, True): "ldrb",
+    (2, False): "ldrsh", (2, True): "ldrh",
+    (4, False): "ldrsw", (4, True): "ldr",
+}
+#: size -> the store of that many bytes.
+_STORES = {1: "strb", 2: "strh", 4: "str", 8: "str"}
 
 
 def _w(reg: str) -> str:
@@ -89,7 +100,6 @@ class _Emitter:
         global_inits: Optional[Dict[str, ir.GlobalInit]] = None,
     ) -> None:
         self.func = func
-        self.allocation = allocation
         self.string_literals = string_literals
         self.global_sizes = global_sizes
         self.global_inits = global_inits or {}
@@ -100,6 +110,16 @@ class _Emitter:
         self.saved_int = allocation.used_registers(ArmBackend.INT_ALLOCATABLE)
         self.saved_float = allocation.used_registers(ArmBackend.FLOAT_ALLOCATABLE)
         self._layout_frame()
+        # vreg -> (register, None) or (None, its spill slot's memory operand):
+        # the allocation's answer with the frame offset already rendered, so
+        # each operand costs one dict lookup.
+        self.locations: Dict[ir.VReg, Tuple[Optional[str], Optional[str]]] = {
+            reg: (None, f"[sp, #{self.slot_offsets[slot]}]")
+            for reg, slot in allocation.spill_slot_of.items()
+        }
+        self.locations.update(
+            (reg, (name, None)) for reg, name in allocation.register_of.items()
+        )
 
     # -- frame ---------------------------------------------------------------
 
@@ -181,22 +201,17 @@ class _Emitter:
         Values in physical registers are kept fully extended; narrow spill
         slots are reloaded with the matching sign-/zero-extending load.
         """
-        if isinstance(operand, ir.VReg):
-            kind, name = self.allocation.location(operand)
-            if kind == "reg":
+        if operand.__class__ is ir.VReg:
+            name, mem = self.locations[operand]
+            if name is not None:
                 if name != scratch:
                     self.op(f"mov\t{scratch}, {name}")
             else:
-                mem = f"[sp, #{self.slot_offsets[name]}]"
                 size = max(1, operand.bits // 8)
                 if size == 8:
                     self.op(f"ldr\t{scratch}, {mem}")
                 else:
-                    mnemonic = {
-                        (1, False): "ldrsb", (1, True): "ldrb",
-                        (2, False): "ldrsh", (2, True): "ldrh",
-                        (4, False): "ldrsw", (4, True): "ldr",
-                    }[(size, operand.unsigned)]
+                    mnemonic = _SPILL_LOADS[(size, operand.unsigned)]
                     dest = scratch if not operand.unsigned else _w(scratch)
                     self.op(f"{mnemonic}\t{dest}, {mem}")
         else:
@@ -204,24 +219,23 @@ class _Emitter:
         return scratch
 
     def write_int(self, scratch: str, dst: ir.VReg) -> None:
-        kind, name = self.allocation.location(dst)
-        if kind == "reg":
+        name, mem = self.locations[dst]
+        if name is not None:
             if name != scratch:
                 self.op(f"mov\t{name}, {scratch}")
         else:
             size = max(1, dst.bits // 8)
-            mnemonic = {1: "strb", 2: "strh", 4: "str", 8: "str"}[size]
             reg = scratch if size == 8 else _w(scratch)
-            self.op(f"{mnemonic}\t{reg}, [sp, #{self.slot_offsets[name]}]")
+            self.op(f"{_STORES[size]}\t{reg}, {mem}")
 
     def read_float(self, operand: ir.Operand, scratch: str) -> str:
-        if isinstance(operand, ir.VReg):
-            kind, name = self.allocation.location(operand)
-            if kind == "reg":
+        if operand.__class__ is ir.VReg:
+            name, mem = self.locations[operand]
+            if name is not None:
                 if name != scratch:
                     self.op(f"fmov\t{scratch}, {name}")
             else:
-                self.op(f"ldr\t{scratch}, [sp, #{self.slot_offsets[name]}]")
+                self.op(f"ldr\t{scratch}, {mem}")
         else:
             label = self._float_label(float(operand))
             self.op(f"adrp\tx17, {label}")
@@ -229,12 +243,12 @@ class _Emitter:
         return scratch
 
     def write_float(self, scratch: str, dst: ir.VReg) -> None:
-        kind, name = self.allocation.location(dst)
-        if kind == "reg":
+        name, mem = self.locations[dst]
+        if name is not None:
             if name != scratch:
                 self.op(f"fmov\t{name}, {scratch}")
         else:
-            self.op(f"str\t{scratch}, [sp, #{self.slot_offsets[name]}]")
+            self.op(f"str\t{scratch}, {mem}")
 
     def _is_float_operand(self, operand: ir.Operand) -> bool:
         if isinstance(operand, ir.VReg):
@@ -296,62 +310,58 @@ class _Emitter:
         return nxt.name if isinstance(nxt, ir.IRLabel) else ""
 
     def _emit_instr(self, instr: ir.IRInstr, index: int) -> None:
-        if isinstance(instr, ir.IRLabel):
-            self.label(instr.name)
-        elif isinstance(instr, ir.IRConst):
-            if instr.dst.is_float:
-                self.write_float(self.read_float(float(instr.value), "d16"), instr.dst)
-            else:
-                self.write_int(self.read_int(int(instr.value), "x9"), instr.dst)
-        elif isinstance(instr, ir.IRMove):
-            if instr.dst.is_float or self._is_float_operand(instr.src):
-                self.write_float(self.read_float(instr.src, "d16"), instr.dst)
-            else:
-                self.write_int(self.read_int(instr.src, "x9"), instr.dst)
-        elif isinstance(instr, ir.IRBinOp):
-            self._emit_binop(instr)
-        elif isinstance(instr, ir.IRCmp):
-            self._emit_cmp(instr)
-        elif isinstance(instr, ir.IRUnary):
-            self._emit_unary(instr)
-        elif isinstance(instr, ir.IRCast):
-            self._emit_cast(instr)
-        elif isinstance(instr, ir.IRLoad):
-            self._emit_load(instr)
-        elif isinstance(instr, ir.IRStore):
-            self._emit_store(instr)
-        elif isinstance(instr, ir.IRFrameAddr):
-            self._add_imm("x9", "sp", self.slot_offsets[instr.slot])
-            self.write_int("x9", instr.dst)
-        elif isinstance(instr, ir.IRGlobalAddr):
-            if (
-                instr.symbol not in self.string_literals
-                and instr.symbol not in self.used_globals
-            ):
-                self.used_globals.append(instr.symbol)
-            self.op(f"adrp\tx9, {instr.symbol}")
-            self.op(f"add\tx9, x9, :lo12:{instr.symbol}")
-            self.write_int("x9", instr.dst)
-        elif isinstance(instr, ir.IRCall):
-            self._emit_call(instr)
-        elif isinstance(instr, ir.IRJump):
-            if instr.target != self._next_label(index):
-                self.op(f"b\t{instr.target}")
-        elif isinstance(instr, ir.IRBranch):
-            self.read_int(instr.cond, "x9")
-            self.op(f"cbnz\tx9, {instr.true_target}")
-            if instr.false_target != self._next_label(index):
-                self.op(f"b\t{instr.false_target}")
-        elif isinstance(instr, ir.IRRet):
-            if instr.value is not None:
-                if instr.is_float or self._is_float_operand(instr.value):
-                    self.read_float(instr.value, "d0")
-                else:
-                    self.read_int(instr.value, "x0")
-            if index != len(self.func.instrs) - 1:
-                self.op(f"b\t{self.ret_label}")
-        else:
+        handler = _EMIT_DISPATCH.get(instr.__class__)
+        if handler is None:
             raise NotImplementedError(f"arm backend cannot emit {type(instr).__name__}")
+        handler(self, instr, index)
+
+    def _emit_label(self, instr: ir.IRLabel, index: int) -> None:
+        self.label(instr.name)
+
+    def _emit_const(self, instr: ir.IRConst, index: int) -> None:
+        if instr.dst.is_float:
+            self.write_float(self.read_float(float(instr.value), "d16"), instr.dst)
+        else:
+            self.write_int(self.read_int(int(instr.value), "x9"), instr.dst)
+
+    def _emit_move(self, instr: ir.IRMove, index: int) -> None:
+        if instr.dst.is_float or self._is_float_operand(instr.src):
+            self.write_float(self.read_float(instr.src, "d16"), instr.dst)
+        else:
+            self.write_int(self.read_int(instr.src, "x9"), instr.dst)
+
+    def _emit_frame_addr(self, instr: ir.IRFrameAddr, index: int) -> None:
+        self._add_imm("x9", "sp", self.slot_offsets[instr.slot])
+        self.write_int("x9", instr.dst)
+
+    def _emit_global_addr(self, instr: ir.IRGlobalAddr, index: int) -> None:
+        if (
+            instr.symbol not in self.string_literals
+            and instr.symbol not in self.used_globals
+        ):
+            self.used_globals.append(instr.symbol)
+        self.op(f"adrp\tx9, {instr.symbol}")
+        self.op(f"add\tx9, x9, :lo12:{instr.symbol}")
+        self.write_int("x9", instr.dst)
+
+    def _emit_jump(self, instr: ir.IRJump, index: int) -> None:
+        if instr.target != self._next_label(index):
+            self.op(f"b\t{instr.target}")
+
+    def _emit_branch(self, instr: ir.IRBranch, index: int) -> None:
+        self.read_int(instr.cond, "x9")
+        self.op(f"cbnz\tx9, {instr.true_target}")
+        if instr.false_target != self._next_label(index):
+            self.op(f"b\t{instr.false_target}")
+
+    def _emit_ret(self, instr: ir.IRRet, index: int) -> None:
+        if instr.value is not None:
+            if instr.is_float or self._is_float_operand(instr.value):
+                self.read_float(instr.value, "d0")
+            else:
+                self.read_int(instr.value, "x0")
+        if index != len(self.func.instrs) - 1:
+            self.op(f"b\t{self.ret_label}")
 
     def _extend(self, scratch: str, bits: int, unsigned: bool) -> None:
         """Restore the full-width register invariant after a narrow op.
@@ -363,7 +373,7 @@ class _Emitter:
             return
         self.op(f"sxtw\t{scratch}, {_w(scratch)}")
 
-    def _emit_binop(self, instr: ir.IRBinOp) -> None:
+    def _emit_binop(self, instr: ir.IRBinOp, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.left, "d16")
             self.read_float(instr.right, "d17")
@@ -396,7 +406,7 @@ class _Emitter:
         self._extend("x9", instr.bits, instr.unsigned)
         self.write_int("x9", instr.dst)
 
-    def _emit_cmp(self, instr: ir.IRCmp) -> None:
+    def _emit_cmp(self, instr: ir.IRCmp, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.left, "d16")
             self.read_float(instr.right, "d17")
@@ -413,7 +423,7 @@ class _Emitter:
         self.op(f"cset\tx9, {cond}")
         self.write_int("x9", instr.dst)
 
-    def _emit_unary(self, instr: ir.IRUnary) -> None:
+    def _emit_unary(self, instr: ir.IRUnary, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.src, "d16")
             self.op("fneg\td16, d16")
@@ -425,7 +435,7 @@ class _Emitter:
         self._extend("x9", instr.bits, instr.unsigned)
         self.write_int("x9", instr.dst)
 
-    def _emit_cast(self, instr: ir.IRCast) -> None:
+    def _emit_cast(self, instr: ir.IRCast, index: int) -> None:
         if instr.kind == "i2f":
             self.read_int(instr.src, "x9")
             self.op("scvtf\td16, x9")
@@ -450,7 +460,7 @@ class _Emitter:
         else:
             self.write_int(self.read_int(instr.src, "x9"), instr.dst)
 
-    def _emit_load(self, instr: ir.IRLoad) -> None:
+    def _emit_load(self, instr: ir.IRLoad, index: int) -> None:
         self.read_int(instr.addr, "x10")
         if instr.offset:
             self._add_imm("x10", "x10", instr.offset)
@@ -481,7 +491,7 @@ class _Emitter:
             )
         self.write_int("x9", instr.dst)
 
-    def _emit_store(self, instr: ir.IRStore) -> None:
+    def _emit_store(self, instr: ir.IRStore, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.src, "d16")
             self.read_int(instr.addr, "x10")
@@ -497,11 +507,10 @@ class _Emitter:
         self.read_int(instr.addr, "x10")
         if instr.offset:
             self._add_imm("x10", "x10", instr.offset)
-        mnemonic = {1: "strb", 2: "strh", 4: "str", 8: "str"}[instr.size]
         reg = "x9" if instr.size == 8 else "w9"
-        self.op(f"{mnemonic}\t{reg}, [x10]")
+        self.op(f"{_STORES[instr.size]}\t{reg}, [x10]")
 
-    def _emit_call(self, instr: ir.IRCall) -> None:
+    def _emit_call(self, instr: ir.IRCall, index: int) -> None:
         int_index = 0
         float_index = 0
         for arg in instr.args:
@@ -579,3 +588,26 @@ class _Emitter:
         lines.append('\t.section\t.note.GNU-stack,"",%progbits')
         lines.append("")
         return "\n".join(lines)
+
+
+#: Instruction emitters, keyed by the instruction's exact class (one dict
+#: lookup per instruction instead of an isinstance chain).  A class with no
+#: entry raises NotImplementedError, which the driver reports as a
+#: CompileError.
+_EMIT_DISPATCH = {
+    ir.IRLabel: _Emitter._emit_label,
+    ir.IRConst: _Emitter._emit_const,
+    ir.IRMove: _Emitter._emit_move,
+    ir.IRBinOp: _Emitter._emit_binop,
+    ir.IRCmp: _Emitter._emit_cmp,
+    ir.IRUnary: _Emitter._emit_unary,
+    ir.IRCast: _Emitter._emit_cast,
+    ir.IRLoad: _Emitter._emit_load,
+    ir.IRStore: _Emitter._emit_store,
+    ir.IRFrameAddr: _Emitter._emit_frame_addr,
+    ir.IRGlobalAddr: _Emitter._emit_global_addr,
+    ir.IRCall: _Emitter._emit_call,
+    ir.IRJump: _Emitter._emit_jump,
+    ir.IRBranch: _Emitter._emit_branch,
+    ir.IRRet: _Emitter._emit_ret,
+}

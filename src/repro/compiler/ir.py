@@ -29,6 +29,13 @@ class VReg:
     bits: int = 64
     unsigned: bool = False
 
+    def __hash__(self) -> int:
+        # VRegs key every per-register table in the middle end (use counts,
+        # register allocation, the verifier, the IR executor's register
+        # file).  Equal registers share an id, so the id alone is a valid
+        # hash, and it skips building and hashing the 4-tuple of fields.
+        return self.id
+
     def __str__(self) -> str:
         prefix = "f" if self.is_float else "v"
         return f"%{prefix}{self.id}"
@@ -76,8 +83,19 @@ class IRInstr:
         """Substitute operands according to ``mapping`` (used by copy prop)."""
 
 
-def _as_uses(*operands: Operand) -> List[VReg]:
-    return [op for op in operands if isinstance(op, VReg)]
+# ``uses()`` runs for every instruction of every pass and of the verifier,
+# so these test their one or two operands directly rather than filter a
+# varargs tuple through isinstance.
+
+
+def _uses_of(operand: Operand) -> List[VReg]:
+    return [operand] if operand.__class__ is VReg else []
+
+
+def _uses_of_pair(left: Operand, right: Operand) -> List[VReg]:
+    if left.__class__ is VReg:
+        return [left, right] if right.__class__ is VReg else [left]
+    return [right] if right.__class__ is VReg else []
 
 
 @dataclass
@@ -101,7 +119,7 @@ class IRMove(IRInstr):
         return [self.dst]
 
     def uses(self) -> List[VReg]:
-        return _as_uses(self.src)
+        return _uses_of(self.src)
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         if isinstance(self.src, VReg) and self.src in mapping:
@@ -138,7 +156,7 @@ class IRBinOp(IRInstr):
         return [self.dst]
 
     def uses(self) -> List[VReg]:
-        return _as_uses(self.left, self.right)
+        return _uses_of_pair(self.left, self.right)
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         if isinstance(self.left, VReg) and self.left in mapping:
@@ -167,7 +185,7 @@ class IRCmp(IRInstr):
         return [self.dst]
 
     def uses(self) -> List[VReg]:
-        return _as_uses(self.left, self.right)
+        return _uses_of_pair(self.left, self.right)
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         if isinstance(self.left, VReg) and self.left in mapping:
@@ -195,7 +213,7 @@ class IRUnary(IRInstr):
         return [self.dst]
 
     def uses(self) -> List[VReg]:
-        return _as_uses(self.src)
+        return _uses_of(self.src)
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         if isinstance(self.src, VReg) and self.src in mapping:
@@ -227,7 +245,7 @@ class IRCast(IRInstr):
         return [self.dst]
 
     def uses(self) -> List[VReg]:
-        return _as_uses(self.src)
+        return _uses_of(self.src)
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         if isinstance(self.src, VReg) and self.src in mapping:
@@ -269,7 +287,7 @@ class IRStore(IRInstr):
     is_float: bool = False
 
     def uses(self) -> List[VReg]:
-        return _as_uses(self.src, self.addr)
+        return _uses_of_pair(self.src, self.addr)
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         if isinstance(self.src, VReg) and self.src in mapping:
@@ -320,7 +338,7 @@ class IRCall(IRInstr):
         return [self.dst] if self.dst is not None else []
 
     def uses(self) -> List[VReg]:
-        return [a for a in self.args if isinstance(a, VReg)]
+        return [a for a in self.args if a.__class__ is VReg]
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         self.args = [mapping.get(a, a) if isinstance(a, VReg) else a for a in self.args]
@@ -372,7 +390,7 @@ class IRRet(IRInstr):
     is_float: bool = False
 
     def uses(self) -> List[VReg]:
-        return _as_uses(self.value) if self.value is not None else []
+        return _uses_of(self.value)
 
     def replace_uses(self, mapping: Dict[VReg, Operand]) -> None:
         if isinstance(self.value, VReg) and self.value in mapping:

@@ -42,6 +42,34 @@ class _MemoryLocation:
 _Location = Union[_RegisterLocation, _MemoryLocation]
 
 
+class _TypeFacts:
+    """Everything lowering asks about one type, answered once.
+
+    ``resolved`` is :meth:`Lowerer.resolve`'s answer; the rest are derived
+    from it exactly as the per-call helpers used to derive them.
+    """
+
+    __slots__ = ("type", "resolved", "is_float", "width", "store_size", "signed")
+
+    def __init__(self, t: Optional[ct.CType], resolved: ct.CType) -> None:
+        # Holding ``t`` keeps its id from being reused while the memo lives.
+        self.type = t
+        self.resolved = resolved
+        self.is_float = isinstance(resolved, ct.FloatType)
+        # Array-to-pointer decay never yields an integer, so the integer
+        # width is read off the resolved type directly.
+        if isinstance(resolved, ct.IntType):
+            self.width = (8 * resolved.sizeof(), resolved.unsigned)
+            self.signed = not resolved.unsigned
+        else:
+            self.width = (64, False)
+            self.signed = True
+        if isinstance(resolved, (ct.ArrayType, ct.StructType)):
+            self.store_size = 8
+        else:
+            self.store_size = max(1, resolved.sizeof())
+
+
 def _collect_address_taken(node: ast.Node, found: Set[str]) -> None:
     """Record names whose address is taken with ``&`` anywhere in ``node``."""
     if isinstance(node, ast.UnaryOp) and node.op == "&" and isinstance(
@@ -91,13 +119,35 @@ class Lowerer:
         self.continue_targets: List[str] = []
         self.string_literals: Dict[str, str] = {}
         self._slot_counter = 0
+        # id(type) -> its facts, for this lowering only: typedefs and struct
+        # tags are per program.  Keyed by the type object rather than its
+        # value, so lookups hash no dataclass, and types that are unhashable
+        # or equal by tag alone (structs) need no special case.
+        self._type_facts: Dict[int, _TypeFacts] = {}
+        # Only scalar promotion (-O3) asks which names have their address
+        # taken, so -O0 skips the walk.
         self._address_taken: Set[str] = set()
-        if func.body is not None:
+        if promote_scalars and func.body is not None:
             _collect_address_taken(func.body, self._address_taken)
 
     # -- type helpers --------------------------------------------------------
 
+    def _facts(self, t: Optional[ct.CType]) -> _TypeFacts:
+        """``t``'s facts, computed on first sight.
+
+        Hot callers inline the hit as ``self._type_facts.get(id(t)) or
+        self._facts(t)`` (facts objects are always truthy).
+        """
+        facts = self._type_facts.get(id(t))
+        if facts is None:
+            facts = _TypeFacts(t, self._resolve_uncached(t))
+            self._type_facts[id(t)] = facts
+        return facts
+
     def resolve(self, t: Optional[ct.CType]) -> ct.CType:
+        return (self._type_facts.get(id(t)) or self._facts(t)).resolved
+
+    def _resolve_uncached(self, t: Optional[ct.CType]) -> ct.CType:
         if t is None:
             return ct.INT
         if isinstance(t, ct.NamedType):
@@ -113,7 +163,7 @@ class Lowerer:
         return t
 
     def _is_float(self, t: ct.CType) -> bool:
-        return isinstance(self.resolve(t), ct.FloatType)
+        return (self._type_facts.get(id(t)) or self._facts(t)).is_float
 
     def _width(self, t: ct.CType) -> Tuple[int, bool]:
         """(bits, unsigned) of the integer register representation of ``t``.
@@ -121,10 +171,7 @@ class Lowerer:
         Pointers, arrays and anything non-integer occupy a full 64-bit
         register and are treated as signed for extension purposes.
         """
-        resolved = ct.decay(self.resolve(t))
-        if isinstance(resolved, ct.IntType):
-            return 8 * resolved.sizeof(), resolved.unsigned
-        return 64, False
+        return (self._type_facts.get(id(t)) or self._facts(t)).width
 
     def _scalar_promotable(self, t: ct.CType, name: str) -> bool:
         if not self.promote_scalars:
@@ -196,45 +243,37 @@ class Lowerer:
         return max(1, self.resolve(t).sizeof())
 
     def _store_size(self, t: ct.CType) -> int:
-        resolved = self.resolve(t)
-        if isinstance(resolved, (ct.ArrayType, ct.StructType)):
-            return 8
-        return max(1, resolved.sizeof())
+        return (self._type_facts.get(id(t)) or self._facts(t)).store_size
 
     # -- statements -----------------------------------------------------------
 
     def _lower_stmt(self, stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Block):
-            saved = dict(self.vars)
-            for inner in stmt.stmts:
-                self._lower_stmt(inner)
-            self.vars = saved
-        elif isinstance(stmt, ast.Declaration):
-            self._lower_declaration(stmt)
-        elif isinstance(stmt, ast.ExprStmt):
-            self._lower_expr(stmt.expr)
-        elif isinstance(stmt, ast.If):
-            self._lower_if(stmt)
-        elif isinstance(stmt, ast.While):
-            self._lower_while(stmt)
-        elif isinstance(stmt, ast.DoWhile):
-            self._lower_do_while(stmt)
-        elif isinstance(stmt, ast.For):
-            self._lower_for(stmt)
-        elif isinstance(stmt, ast.Return):
-            self._lower_return(stmt)
-        elif isinstance(stmt, ast.Break):
-            if not self.break_targets:
-                raise LoweringError("break outside of a loop")
-            self.ir.emit(ir.IRJump(self.break_targets[-1]))
-        elif isinstance(stmt, ast.Continue):
-            if not self.continue_targets:
-                raise LoweringError("continue outside of a loop")
-            self.ir.emit(ir.IRJump(self.continue_targets[-1]))
-        elif isinstance(stmt, ast.EmptyStmt):
-            pass
-        else:
+        handler = _STMT_DISPATCH.get(stmt.__class__)
+        if handler is None:
             raise LoweringError(f"cannot lower statement {type(stmt).__name__}")
+        handler(self, stmt)
+
+    def _lower_block(self, stmt: ast.Block) -> None:
+        saved = dict(self.vars)
+        for inner in stmt.stmts:
+            self._lower_stmt(inner)
+        self.vars = saved
+
+    def _lower_expr_stmt(self, stmt: ast.ExprStmt) -> None:
+        self._lower_expr(stmt.expr)
+
+    def _lower_break(self, stmt: ast.Break) -> None:
+        if not self.break_targets:
+            raise LoweringError("break outside of a loop")
+        self.ir.emit(ir.IRJump(self.break_targets[-1]))
+
+    def _lower_continue(self, stmt: ast.Continue) -> None:
+        if not self.continue_targets:
+            raise LoweringError("continue outside of a loop")
+        self.ir.emit(ir.IRJump(self.continue_targets[-1]))
+
+    def _lower_empty(self, stmt: ast.EmptyStmt) -> None:
+        pass
 
     def _lower_declaration(self, decl: ast.Declaration) -> None:
         t = self.resolve(decl.type)
@@ -425,9 +464,10 @@ class Lowerer:
         self, value: ir.Operand, from_type: ct.CType, to_type: ct.CType
     ) -> ir.Operand:
         """Insert an int<->float or integer width/sign conversion when required."""
-        src_float = self._is_float(from_type)
-        dst_float = self._is_float(to_type)
-        if src_float != dst_float:
+        src_facts = self._type_facts.get(id(from_type)) or self._facts(from_type)
+        dst_facts = self._type_facts.get(id(to_type)) or self._facts(to_type)
+        dst_float = dst_facts.is_float
+        if src_facts.is_float != dst_float:
             if isinstance(value, (int, float)):
                 if dst_float:
                     return float(value)
@@ -436,17 +476,23 @@ class Lowerer:
             dst = self.ir.new_vreg(dst_float)
             self.ir.emit(ir.IRCast("i2f" if dst_float else "f2i", dst, value))
             if not dst_float:
-                return self._narrow(dst, to_type, ct.LONG)
+                return self._narrow(dst, dst_facts.width, self._width(ct.LONG))
             return dst
         if dst_float:
             return value
-        return self._narrow(self._wrap_int_operand(value, to_type), to_type, from_type)
+        if isinstance(value, int):
+            # _wrap_int_operand, with the target's facts already in hand.
+            resolved = dst_facts.resolved
+            if isinstance(resolved, ct.IntType):
+                value = resolved.wrap(value)
+        return self._narrow(value, dst_facts.width, src_facts.width)
 
     def _wrap_int_operand(self, value: ir.Operand, to_type: ct.CType) -> ir.Operand:
         """Fold an integer constant into ``to_type``'s register representation."""
         if not isinstance(value, int):
             return value
-        resolved = ct.decay(self.resolve(to_type))
+        # Decay never yields an integer type, so the resolved type decides.
+        resolved = self.resolve(to_type)
         if isinstance(resolved, ct.IntType):
             return resolved.wrap(value)
         return value
@@ -454,23 +500,22 @@ class Lowerer:
     def _narrow(
         self,
         value: ir.Operand,
-        to_type: ct.CType,
-        from_type: Optional[ct.CType] = None,
+        to_width: Tuple[int, bool],
+        from_width: Tuple[int, bool],
     ) -> ir.Operand:
-        """Re-extend ``value`` when ``to_type`` is narrower (or differs in
-        signedness at the same sub-64-bit width) than what ``value`` holds.
+        """Re-extend ``value`` when the target width ``to_width`` is narrower
+        (or differs in signedness at the same sub-64-bit width) than the
+        source width ``from_width`` it holds; widths are :meth:`_width`'s
+        ``(bits, unsigned)``.
 
         Widening is a no-op: by the vreg invariant, values are already held
         sign-/zero-extended per their own type, which is exactly the
         representation any wider type expects.
         """
-        if not isinstance(value, ir.VReg) or value.is_float:
+        if value.__class__ is not ir.VReg or value.is_float:
             return value
-        to_bits, to_unsigned = self._width(to_type)
-        if from_type is not None:
-            from_bits, from_unsigned = self._width(from_type)
-        else:
-            from_bits, from_unsigned = value.bits, value.unsigned
+        to_bits, to_unsigned = to_width
+        from_bits, from_unsigned = from_width
         if to_bits >= 64:
             return value
         if to_bits > from_bits and (from_unsigned or not to_unsigned):
@@ -487,48 +532,51 @@ class Lowerer:
         return dst
 
     def _lower_expr(self, expr: ast.Expr) -> Tuple[ir.Operand, ct.CType]:
-        if isinstance(expr, ast.IntLiteral):
-            return expr.value, ct.literal_int_type(expr.value)
-        if isinstance(expr, ast.FloatLiteral):
-            return float(expr.value), ct.DOUBLE
-        if isinstance(expr, ast.CharLiteral):
-            return expr.value, ct.CHAR
-        if isinstance(expr, ast.StringLiteral):
-            symbol = self._intern_string(expr.value)
-            reg = self.ir.new_vreg()
-            self.ir.emit(ir.IRGlobalAddr(reg, symbol))
-            return reg, ct.PointerType(ct.CHAR)
-        if isinstance(expr, ast.Identifier):
-            return self._lower_identifier(expr)
-        if isinstance(expr, ast.BinaryOp):
-            return self._lower_binary(expr)
-        if isinstance(expr, ast.UnaryOp):
-            return self._lower_unary(expr)
-        if isinstance(expr, ast.PostfixOp):
-            return self._lower_incdec(expr.operand, expr.op, postfix=True)
-        if isinstance(expr, ast.Assignment):
-            return self._lower_assignment(expr)
-        if isinstance(expr, ast.Conditional):
-            return self._lower_conditional(expr)
-        if isinstance(expr, ast.Call):
-            return self._lower_call(expr)
-        if isinstance(expr, (ast.Index, ast.Member)):
-            location = self._lower_lvalue(expr)
-            return self._load_location(location)
-        if isinstance(expr, ast.Cast):
-            value, vtype = self._lower_expr(expr.operand)
-            target = self.resolve(expr.target_type)
-            return self._convert(value, vtype, target), target
-        if isinstance(expr, ast.SizeOf):
-            if expr.target_type is not None:
-                return self.resolve(expr.target_type).sizeof(), ct.ULONG
-            t = (
-                expr.operand.ctype
-                if expr.operand is not None and expr.operand.ctype
-                else ct.INT
-            )
-            return self.resolve(t).sizeof(), ct.ULONG
-        raise LoweringError(f"cannot lower expression {type(expr).__name__}")
+        handler = _EXPR_DISPATCH.get(expr.__class__)
+        if handler is None:
+            raise LoweringError(f"cannot lower expression {type(expr).__name__}")
+        return handler(self, expr)
+
+    def _lower_int_literal(self, expr: ast.IntLiteral) -> Tuple[ir.Operand, ct.CType]:
+        return expr.value, ct.literal_int_type(expr.value)
+
+    def _lower_float_literal(
+        self, expr: ast.FloatLiteral
+    ) -> Tuple[ir.Operand, ct.CType]:
+        return float(expr.value), ct.DOUBLE
+
+    def _lower_char_literal(self, expr: ast.CharLiteral) -> Tuple[ir.Operand, ct.CType]:
+        return expr.value, ct.CHAR
+
+    def _lower_string_literal(
+        self, expr: ast.StringLiteral
+    ) -> Tuple[ir.Operand, ct.CType]:
+        symbol = self._intern_string(expr.value)
+        reg = self.ir.new_vreg()
+        self.ir.emit(ir.IRGlobalAddr(reg, symbol))
+        return reg, ct.PointerType(ct.CHAR)
+
+    def _lower_postfix(self, expr: ast.PostfixOp) -> Tuple[ir.Operand, ct.CType]:
+        return self._lower_incdec(expr.operand, expr.op, postfix=True)
+
+    def _lower_access(self, expr: ast.Expr) -> Tuple[ir.Operand, ct.CType]:
+        """``a[i]`` and ``s.f``/``p->f``: load from the lvalue's location."""
+        return self._load_location(self._lower_lvalue(expr))
+
+    def _lower_cast(self, expr: ast.Cast) -> Tuple[ir.Operand, ct.CType]:
+        value, vtype = self._lower_expr(expr.operand)
+        target = self.resolve(expr.target_type)
+        return self._convert(value, vtype, target), target
+
+    def _lower_sizeof(self, expr: ast.SizeOf) -> Tuple[ir.Operand, ct.CType]:
+        if expr.target_type is not None:
+            return self.resolve(expr.target_type).sizeof(), ct.ULONG
+        t = (
+            expr.operand.ctype
+            if expr.operand is not None and expr.operand.ctype
+            else ct.INT
+        )
+        return self.resolve(t).sizeof(), ct.ULONG
 
     def _intern_string(self, text: str) -> str:
         for symbol, existing in self.string_literals.items():
@@ -567,10 +615,7 @@ class Lowerer:
         raise LoweringError(f"use of undeclared identifier {expr.name!r}")
 
     def _signed(self, t: ct.CType) -> bool:
-        resolved = self.resolve(t)
-        if isinstance(resolved, ct.IntType):
-            return not resolved.unsigned
-        return True
+        return (self._type_facts.get(id(t)) or self._facts(t)).signed
 
     def _load_location_or_reg(self, location: _Location) -> Tuple[ir.Operand, ct.CType]:
         if isinstance(location, _RegisterLocation):
@@ -589,16 +634,17 @@ class Lowerer:
             dst = self.ir.new_vreg()
             self.ir.emit(ir.IRBinOp("add", dst, base, location.offset))
             return dst, t
-        bits, unsigned = self._width(t)
-        dst = self.ir.new_vreg(self._is_float(t), bits, unsigned)
+        facts = self._type_facts.get(id(t)) or self._facts(t)
+        bits, unsigned = facts.width
+        dst = self.ir.new_vreg(facts.is_float, bits, unsigned)
         self.ir.emit(
             ir.IRLoad(
                 dst,
                 self._to_reg(location.addr),
                 location.offset,
-                self._store_size(t),
-                self._signed(t),
-                self._is_float(t),
+                facts.store_size,
+                facts.signed,
+                facts.is_float,
             )
         )
         return dst, t
@@ -612,13 +658,14 @@ class Lowerer:
             return
         t = self.resolve(location.type)
         converted = self._convert(value, value_type, t)
+        facts = self._type_facts.get(id(t)) or self._facts(t)
         self.ir.emit(
             ir.IRStore(
                 converted,
                 self._to_reg(location.addr),
                 location.offset,
-                self._store_size(t),
-                self._is_float(t),
+                facts.store_size,
+                facts.is_float,
             )
         )
 
@@ -795,11 +842,12 @@ class Lowerer:
                 if right_type.is_arithmetic()
                 else right_type,
             )
-        is_float = self._is_float(result_type)
+        facts = self._type_facts.get(id(result_type)) or self._facts(result_type)
+        is_float = facts.is_float
         left = self._convert(left, left_type, result_type)
         if op not in ("<<", ">>"):
             right = self._convert(right, right_type, result_type)
-        bits, unsigned = self._width(result_type)
+        bits, unsigned = facts.width
         dst = self.ir.new_vreg(is_float, bits, unsigned)
         self.ir.emit(
             ir.IRBinOp(
@@ -1039,3 +1087,39 @@ class Lowerer:
         dst = self.ir.new_vreg(is_float, bits, unsigned)
         self.ir.emit(ir.IRCall(dst, name, args, is_float))
         return dst, return_type
+
+
+#: Lowering dispatch, keyed by the node's exact class (one dict lookup per
+#: node instead of an isinstance chain, as in the interpreter).  A class with
+#: no entry raises ``LoweringError("cannot lower statement/expression ...")``.
+_STMT_DISPATCH = {
+    ast.Block: Lowerer._lower_block,
+    ast.Declaration: Lowerer._lower_declaration,
+    ast.ExprStmt: Lowerer._lower_expr_stmt,
+    ast.If: Lowerer._lower_if,
+    ast.While: Lowerer._lower_while,
+    ast.DoWhile: Lowerer._lower_do_while,
+    ast.For: Lowerer._lower_for,
+    ast.Return: Lowerer._lower_return,
+    ast.Break: Lowerer._lower_break,
+    ast.Continue: Lowerer._lower_continue,
+    ast.EmptyStmt: Lowerer._lower_empty,
+}
+
+_EXPR_DISPATCH = {
+    ast.IntLiteral: Lowerer._lower_int_literal,
+    ast.FloatLiteral: Lowerer._lower_float_literal,
+    ast.CharLiteral: Lowerer._lower_char_literal,
+    ast.StringLiteral: Lowerer._lower_string_literal,
+    ast.Identifier: Lowerer._lower_identifier,
+    ast.BinaryOp: Lowerer._lower_binary,
+    ast.UnaryOp: Lowerer._lower_unary,
+    ast.PostfixOp: Lowerer._lower_postfix,
+    ast.Assignment: Lowerer._lower_assignment,
+    ast.Conditional: Lowerer._lower_conditional,
+    ast.Call: Lowerer._lower_call,
+    ast.Index: Lowerer._lower_access,
+    ast.Member: Lowerer._lower_access,
+    ast.Cast: Lowerer._lower_cast,
+    ast.SizeOf: Lowerer._lower_sizeof,
+}

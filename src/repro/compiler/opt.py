@@ -16,6 +16,7 @@ The -O0 pipeline applies none of these.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.compiler import ir
@@ -355,15 +356,20 @@ def optimize_function_ast(
 # ---------------------------------------------------------------------------
 
 
-def _block_boundaries(instrs: List[ir.IRInstr]) -> List[int]:
+#: Instructions after which a new basic block starts.
+_TERMINATORS = frozenset({ir.IRJump, ir.IRBranch, ir.IRRet})
+
+
+def _block_starts(instrs: List[ir.IRInstr]) -> Set[int]:
     """Indices that start a new basic block."""
     starts = {0}
     for index, instr in enumerate(instrs):
-        if isinstance(instr, ir.IRLabel):
+        cls = instr.__class__
+        if cls is ir.IRLabel:
             starts.add(index)
-        if isinstance(instr, (ir.IRJump, ir.IRBranch, ir.IRRet)):
+        elif cls in _TERMINATORS:
             starts.add(index + 1)
-    return sorted(s for s in starts if s < len(instrs))
+    return starts
 
 
 def local_fold_and_propagate(func: ir.IRFunction) -> bool:
@@ -375,67 +381,65 @@ def local_fold_and_propagate(func: ir.IRFunction) -> bool:
     """
     changed = False
     instrs = func.instrs
-    starts = set(_block_boundaries(instrs))
+    starts = _block_starts(instrs)
     constants: Dict[ir.VReg, Union[int, float]] = {}
-    copies: Dict[ir.VReg, ir.Operand] = {}
-
-    def invalidate(reg: ir.VReg) -> None:
-        constants.pop(reg, None)
-        copies.pop(reg, None)
-        for key in [k for k, v in copies.items() if v == reg]:
-            copies.pop(key, None)
+    copies: Dict[ir.VReg, ir.VReg] = {}
+    # src -> registers recorded as its copies (some may have moved on since),
+    # so a redefinition of ``src`` finds its copies without scanning them all.
+    copied_from: Dict[ir.VReg, List[ir.VReg]] = {}
+    folders = _FOLDERS
 
     new_instrs: List[ir.IRInstr] = []
+    append = new_instrs.append
     for index, instr in enumerate(instrs):
         if index in starts:
             constants.clear()
             copies.clear()
+            copied_from.clear()
+        cls = instr.__class__
 
         # Substitute known constants / copies into the operands.
-        mapping: Dict[ir.VReg, ir.Operand] = {}
-        for used in instr.uses():
-            if used in constants and not isinstance(instr, (ir.IRBranch,)):
-                mapping[used] = constants[used]
-            elif used in copies:
-                mapping[used] = copies[used]
-        if mapping:
-            instr.replace_uses(mapping)
-            changed = True
+        uses = instr.uses()
+        if uses:
+            mapping: Dict[ir.VReg, ir.Operand] = {}
+            for used in uses:
+                if used in constants and cls is not ir.IRBranch:
+                    mapping[used] = constants[used]
+                elif used in copies:
+                    mapping[used] = copies[used]
+            if mapping:
+                instr.replace_uses(mapping)
+                changed = True
 
         for defined in instr.defs():
-            invalidate(defined)
+            constants.pop(defined, None)
+            copies.pop(defined, None)
+            for key in copied_from.pop(defined, ()):
+                source = copies.get(key)
+                if source is not None and source == defined:
+                    del copies[key]
 
-        if isinstance(instr, ir.IRConst):
-            constants[instr.dst] = instr.value
-        elif isinstance(instr, ir.IRMove):
-            if isinstance(instr.src, (int, float)):
-                constants[instr.dst] = instr.src
-            elif isinstance(instr.src, ir.VReg):
-                copies[instr.dst] = instr.src
-        elif isinstance(instr, ir.IRBinOp):
-            folded = _fold_ir_binop(instr)
+        folder = folders.get(cls)
+        if folder is not None:
+            folded = folder(instr)
             if folded is not None:
-                new_instrs.append(folded)
-                if isinstance(folded, ir.IRConst):
+                append(folded)
+                if folded.__class__ is ir.IRConst:
                     constants[folded.dst] = folded.value
                 changed = True
                 continue
-            changed = _strength_reduce(instr) or changed
-        elif isinstance(instr, ir.IRCmp):
-            folded_cmp = _fold_ir_cmp(instr)
-            if folded_cmp is not None:
-                new_instrs.append(folded_cmp)
-                constants[folded_cmp.dst] = folded_cmp.value
-                changed = True
-                continue
-        elif isinstance(instr, ir.IRCast):
-            folded_cast = _fold_ir_cast(instr)
-            if folded_cast is not None:
-                new_instrs.append(folded_cast)
-                constants[folded_cast.dst] = folded_cast.value
-                changed = True
-                continue
-        new_instrs.append(instr)
+            if cls is ir.IRBinOp:
+                changed = _strength_reduce(instr) or changed
+        elif cls is ir.IRConst:
+            constants[instr.dst] = instr.value
+        elif cls is ir.IRMove:
+            src = instr.src
+            if isinstance(src, (int, float)):
+                constants[instr.dst] = src
+            elif isinstance(src, ir.VReg):
+                copies[instr.dst] = src
+                copied_from.setdefault(src, []).append(instr.dst)
+        append(instr)
     func.instrs = new_instrs
     return changed
 
@@ -499,6 +503,14 @@ def _fold_ir_cast(instr: ir.IRCast) -> Optional[ir.IRConst]:
     return None
 
 
+#: Constant folders by instruction class: each returns the instruction to
+#: emit in place of its argument, or None to keep it.
+_FOLDERS = {
+    ir.IRBinOp: _fold_ir_binop,
+    ir.IRCmp: _fold_ir_cmp,
+    ir.IRCast: _fold_ir_cast,
+}
+
 _IR_TO_C = {
     "add": "+",
     "sub": "-",
@@ -534,21 +546,11 @@ def _strength_reduce(instr: ir.IRBinOp) -> bool:
     return False
 
 
-def _referenced_labels(func: ir.IRFunction) -> Set[str]:
-    referenced: Set[str] = set()
-    for instr in func.instrs:
-        if isinstance(instr, ir.IRJump):
-            referenced.add(instr.target)
-        elif isinstance(instr, ir.IRBranch):
-            referenced.add(instr.true_target)
-            referenced.add(instr.false_target)
-    return referenced
-
-
-_REMOVABLE_INSTRS = (
+#: Pure instructions DCE may delete once nothing reads their result.
+_REMOVABLE_INSTRS = frozenset({
     ir.IRConst, ir.IRMove, ir.IRBinOp, ir.IRCmp, ir.IRUnary, ir.IRCast,
     ir.IRFrameAddr, ir.IRGlobalAddr, ir.IRLoad,
-)
+})
 
 
 def dead_code_elimination(func: ir.IRFunction) -> bool:
@@ -562,35 +564,54 @@ def dead_code_elimination(func: ir.IRFunction) -> bool:
     DCE never removes the jumps that reference them).
     """
     instrs = func.instrs
-    referenced = _referenced_labels(func)
-    use_count: Dict[ir.VReg, int] = {}
+    referenced: Set[str] = set()
+    labels: List[int] = []
+    all_uses: List[ir.VReg] = []
+    # Per removable instruction that defines something: its defs and uses.
+    # Only these can die, so only their definitions need indexing.
+    pure: Dict[int, Tuple[List[ir.VReg], List[ir.VReg]]] = {}
     defs_of: Dict[ir.VReg, List[int]] = {}
     for index, instr in enumerate(instrs):
-        for used in instr.uses():
-            use_count[used] = use_count.get(used, 0) + 1
-        for defined in instr.defs():
-            defs_of.setdefault(defined, []).append(index)
+        cls = instr.__class__
+        if cls is ir.IRLabel:
+            labels.append(index)
+            continue
+        if cls is ir.IRJump:
+            referenced.add(instr.target)  # type: ignore[attr-defined]
+            continue
+        if cls is ir.IRBranch:
+            referenced.add(instr.true_target)  # type: ignore[attr-defined]
+            referenced.add(instr.false_target)  # type: ignore[attr-defined]
+        uses = instr.uses()
+        all_uses += uses
+        if cls in _REMOVABLE_INSTRS:
+            defs = instr.defs()
+            if defs:
+                pure[index] = (defs, uses)
+                for defined in defs:
+                    defs_of.setdefault(defined, []).append(index)
+    use_count = Counter(all_uses)
 
     def is_dead(index: int) -> bool:
-        instr = instrs[index]
-        if not isinstance(instr, _REMOVABLE_INSTRS):
+        entry = pure.get(index)
+        if entry is None:
             return False
-        defs = instr.defs()
-        return bool(defs) and not any(use_count.get(d, 0) for d in defs)
+        for defined in entry[0]:
+            if use_count[defined]:
+                return False
+        return True
 
     dead = [False] * len(instrs)
-    work: List[int] = []
-    for index, instr in enumerate(instrs):
-        if isinstance(instr, ir.IRLabel) and instr.name not in referenced:
+    for index in labels:
+        if instrs[index].name not in referenced:  # type: ignore[attr-defined]
             dead[index] = True
-        elif is_dead(index):
-            work.append(index)
+    work = [index for index in pure if is_dead(index)]
     while work:
         index = work.pop()
         if dead[index] or not is_dead(index):
             continue
         dead[index] = True
-        for used in instrs[index].uses():
+        for used in pure[index][1]:
             use_count[used] -= 1
             if use_count[used] == 0:
                 for def_index in defs_of.get(used, ()):
@@ -610,12 +631,13 @@ def remove_redundant_jumps(func: ir.IRFunction) -> bool:
     too, not just ``jmp L1; L1:``.
     """
     kept: List[ir.IRInstr] = []
-    for index, instr in enumerate(func.instrs):
-        if isinstance(instr, ir.IRJump):
+    instrs = func.instrs
+    for index, instr in enumerate(instrs):
+        if instr.__class__ is ir.IRJump:
             scan = index + 1
             redundant = False
-            while scan < len(func.instrs) and isinstance(func.instrs[scan], ir.IRLabel):
-                if func.instrs[scan].name == instr.target:  # type: ignore[attr-defined]
+            while scan < len(instrs) and instrs[scan].__class__ is ir.IRLabel:
+                if instrs[scan].name == instr.target:  # type: ignore[attr-defined]
                     redundant = True
                     break
                 scan += 1

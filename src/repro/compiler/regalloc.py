@@ -9,6 +9,7 @@ keeps every value in memory.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -30,12 +31,6 @@ class Allocation:
 
     register_of: Dict[ir.VReg, str]
     spill_slot_of: Dict[ir.VReg, str]
-
-    def location(self, reg: ir.VReg) -> Tuple[str, str]:
-        """Return ("reg", name) or ("spill", slot_name)."""
-        if reg in self.register_of:
-            return "reg", self.register_of[reg]
-        return "spill", self.spill_slot_of[reg]
 
     def used_registers(self, ordering: Sequence[str]) -> List[str]:
         """Physical registers this allocation uses, in ``ordering`` order.
@@ -60,16 +55,15 @@ def compute_live_ranges(func: ir.IRFunction) -> List[LiveRange]:
     last_use: Dict[ir.VReg, int] = {}
     label_pos: Dict[str, int] = {}
     for index, instr in enumerate(func.instrs):
-        if isinstance(instr, ir.IRLabel):
-            label_pos[instr.name] = index
-
-    for index, instr in enumerate(func.instrs):
+        if instr.__class__ is ir.IRLabel:
+            label_pos[instr.name] = index  # type: ignore[attr-defined]
+        # Indices only grow, so the latest mention is the last use.
         for reg in instr.defs():
             first_def.setdefault(reg, index)
-            last_use[reg] = max(last_use.get(reg, index), index)
+            last_use[reg] = index
         for reg in instr.uses():
             first_def.setdefault(reg, index)
-            last_use[reg] = max(last_use.get(reg, index), index)
+            last_use[reg] = index
     for index, reg in enumerate(func.params):
         first_def[reg] = -1 - (len(func.params) - index)
         last_use.setdefault(reg, 0)
@@ -78,27 +72,44 @@ def compute_live_ranges(func: ir.IRFunction) -> List[LiveRange]:
     loop_spans: List[Tuple[int, int]] = []
     for index, instr in enumerate(func.instrs):
         targets: List[str] = []
-        if isinstance(instr, ir.IRJump):
-            targets = [instr.target]
-        elif isinstance(instr, ir.IRBranch):
-            targets = [instr.true_target, instr.false_target]
+        if instr.__class__ is ir.IRJump:
+            targets = [instr.target]  # type: ignore[attr-defined]
+        elif instr.__class__ is ir.IRBranch:
+            targets = [instr.true_target, instr.false_target]  # type: ignore[attr-defined]
         for target in targets:
             target_index = label_pos.get(target, index)
             if target_index < index:
                 loop_spans.append((target_index, index))
 
-    ranges = []
-    for reg, start in first_def.items():
-        end = last_use.get(reg, start)
-        changed = True
-        while changed:
-            changed = False
-            for span_start, span_end in loop_spans:
-                # If the range overlaps the loop body at all, it must cover it.
-                if start <= span_end and end >= span_start and end < span_end:
-                    end = span_end
-                    changed = True
-        ranges.append(LiveRange(reg, start, end))
+    # A range overlapping a loop body must cover it: while some span has
+    # span_start <= end < span_end, ``end`` moves to that span's end.  Every
+    # range has end >= start, so whether it overlaps depends on ``end``
+    # alone, and the fixpoint from a given end is the same for every range:
+    # with the spans sorted by start, jump to the furthest end among the
+    # spans that start at or before ``end`` until that no longer moves it.
+    loop_spans.sort()
+    span_starts = [span_start for span_start, _ in loop_spans]
+    furthest: List[int] = []
+    for _, span_end in loop_spans:
+        furthest.append(max(span_end, furthest[-1]) if furthest else span_end)
+    extended: Dict[int, int] = {}
+
+    def extend(end: int) -> int:
+        result = extended.get(end)
+        if result is None:
+            result = end
+            while True:
+                count = bisect_right(span_starts, result)
+                if not count or furthest[count - 1] <= result:
+                    break
+                result = furthest[count - 1]
+            extended[end] = result
+        return result
+
+    ranges = [
+        LiveRange(reg, start, extend(last_use.get(reg, start)))
+        for reg, start in first_def.items()
+    ]
     ranges.sort(key=lambda r: r.start)
     return ranges
 

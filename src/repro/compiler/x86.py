@@ -22,7 +22,7 @@ Register usage:
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler import ir
 from repro.compiler.regalloc import Allocation
@@ -48,6 +48,17 @@ def _subreg(reg: str, size: int) -> str:
     if reg in _LEGACY_SUBREGS:
         return _LEGACY_SUBREGS[reg][{1: 0, 2: 1, 4: 2}[size]]
     return reg + {1: "b", 2: "w", 4: "d"}[size]
+
+
+#: (size, signed) -> the load that sign-/zero-extends ``size`` bytes to 64
+#: bits (4-byte unsigned loads are a plain ``movl``, which zero-extends).
+_EXTENDING_LOADS = {
+    (1, True): "movsbq", (1, False): "movzbq",
+    (2, True): "movswq", (2, False): "movzwq",
+    (4, True): "movslq",
+}
+#: size -> the store of that many bytes.
+_STORES = {1: "movb", 2: "movw", 4: "movl", 8: "movq"}
 
 #: setCC suffixes for signed and unsigned integer comparisons.
 _CC_SIGNED = {"eq": "e", "ne": "ne", "lt": "l", "le": "le", "gt": "g", "ge": "ge"}
@@ -105,7 +116,6 @@ class _Emitter:
         global_inits: Optional[Dict[str, ir.GlobalInit]] = None,
     ) -> None:
         self.func = func
-        self.allocation = allocation
         self.string_literals = string_literals
         self.global_sizes = global_sizes
         self.global_inits = global_inits or {}
@@ -115,6 +125,16 @@ class _Emitter:
         self.ret_label = f".Lret_{func.name}"
         self.saved = allocation.used_registers(X86Backend.INT_ALLOCATABLE)
         self._layout_frame()
+        # vreg -> (register, None) or (None, its spill slot's memory operand):
+        # the allocation's answer with the frame offset already rendered, so
+        # each operand costs one dict lookup.
+        self.locations: Dict[ir.VReg, Tuple[Optional[str], Optional[str]]] = {
+            reg: (None, self._slot_addr(slot))
+            for reg, slot in allocation.spill_slot_of.items()
+        }
+        self.locations.update(
+            (reg, (name, None)) for reg, name in allocation.register_of.items()
+        )
 
     # -- frame ---------------------------------------------------------------
 
@@ -165,59 +185,53 @@ class _Emitter:
         ``movq`` suffices; narrow spill slots are reloaded with the
         sign-/zero-extending load that matches the value's type.
         """
-        if isinstance(operand, ir.VReg):
-            kind, name = self.allocation.location(operand)
-            if kind == "reg":
+        if operand.__class__ is ir.VReg:
+            name, mem = self.locations[operand]
+            if name is not None:
                 if name != scratch:
                     self.op(f"movq\t{name}, {scratch}")
             else:
-                mem = self._slot_addr(name)
                 size = max(1, operand.bits // 8)
                 if size == 8:
                     self.op(f"movq\t{mem}, {scratch}")
                 elif size == 4 and operand.unsigned:
                     self.op(f"movl\t{mem}, {_subreg(scratch, 4)}")
                 else:
-                    mnemonic = {
-                        (1, False): "movsbq", (1, True): "movzbq",
-                        (2, False): "movswq", (2, True): "movzwq",
-                        (4, False): "movslq",
-                    }[(size, operand.unsigned)]
+                    mnemonic = _EXTENDING_LOADS[(size, not operand.unsigned)]
                     self.op(f"{mnemonic}\t{mem}, {scratch}")
         else:
             self._load_imm(int(operand), scratch)
         return scratch
 
     def write_int(self, scratch: str, dst: ir.VReg) -> None:
-        kind, name = self.allocation.location(dst)
-        if kind == "reg":
+        name, mem = self.locations[dst]
+        if name is not None:
             if name != scratch:
                 self.op(f"movq\t{scratch}, {name}")
         else:
             size = max(1, dst.bits // 8)
-            mnemonic = {1: "movb", 2: "movw", 4: "movl", 8: "movq"}[size]
-            self.op(f"{mnemonic}\t{_subreg(scratch, size)}, {self._slot_addr(name)}")
+            self.op(f"{_STORES[size]}\t{_subreg(scratch, size)}, {mem}")
 
     def read_float(self, operand: ir.Operand, scratch: str) -> str:
-        if isinstance(operand, ir.VReg):
-            kind, name = self.allocation.location(operand)
-            if kind == "reg":
+        if operand.__class__ is ir.VReg:
+            name, mem = self.locations[operand]
+            if name is not None:
                 if name != scratch:
                     self.op(f"movsd\t{name}, {scratch}")
             else:
-                self.op(f"movsd\t{self._slot_addr(name)}, {scratch}")
+                self.op(f"movsd\t{mem}, {scratch}")
         else:
             label = self._float_label(float(operand))
             self.op(f"movsd\t{label}(%rip), {scratch}")
         return scratch
 
     def write_float(self, scratch: str, dst: ir.VReg) -> None:
-        kind, name = self.allocation.location(dst)
-        if kind == "reg":
+        name, mem = self.locations[dst]
+        if name is not None:
             if name != scratch:
                 self.op(f"movsd\t{scratch}, {name}")
         else:
-            self.op(f"movsd\t{scratch}, {self._slot_addr(name)}")
+            self.op(f"movsd\t{scratch}, {mem}")
 
     def _is_float_operand(self, operand: ir.Operand) -> bool:
         if isinstance(operand, ir.VReg):
@@ -278,64 +292,58 @@ class _Emitter:
         return nxt.name if isinstance(nxt, ir.IRLabel) else ""
 
     def _emit_instr(self, instr: ir.IRInstr, index: int) -> None:
-        if isinstance(instr, ir.IRLabel):
-            self.label(instr.name)
-        elif isinstance(instr, ir.IRConst):
-            if instr.dst.is_float:
-                self.write_float(
-                    self.read_float(float(instr.value), "%xmm14"), instr.dst
-                )
-            else:
-                self.write_int(self.read_int(int(instr.value), "%r10"), instr.dst)
-        elif isinstance(instr, ir.IRMove):
-            if instr.dst.is_float or self._is_float_operand(instr.src):
-                self.write_float(self.read_float(instr.src, "%xmm14"), instr.dst)
-            else:
-                self.write_int(self.read_int(instr.src, "%r10"), instr.dst)
-        elif isinstance(instr, ir.IRBinOp):
-            self._emit_binop(instr)
-        elif isinstance(instr, ir.IRCmp):
-            self._emit_cmp(instr)
-        elif isinstance(instr, ir.IRUnary):
-            self._emit_unary(instr)
-        elif isinstance(instr, ir.IRCast):
-            self._emit_cast(instr)
-        elif isinstance(instr, ir.IRLoad):
-            self._emit_load(instr)
-        elif isinstance(instr, ir.IRStore):
-            self._emit_store(instr)
-        elif isinstance(instr, ir.IRFrameAddr):
-            self.op(f"leaq\t{self._slot_addr(instr.slot)}, %r10")
-            self.write_int("%r10", instr.dst)
-        elif isinstance(instr, ir.IRGlobalAddr):
-            if (
-                instr.symbol not in self.string_literals
-                and instr.symbol not in self.used_globals
-            ):
-                self.used_globals.append(instr.symbol)
-            self.op(f"leaq\t{instr.symbol}(%rip), %r10")
-            self.write_int("%r10", instr.dst)
-        elif isinstance(instr, ir.IRCall):
-            self._emit_call(instr)
-        elif isinstance(instr, ir.IRJump):
-            if instr.target != self._next_label(index):
-                self.op(f"jmp\t{instr.target}")
-        elif isinstance(instr, ir.IRBranch):
-            self.read_int(instr.cond, "%r10")
-            self.op("testq\t%r10, %r10")
-            self.op(f"jne\t{instr.true_target}")
-            if instr.false_target != self._next_label(index):
-                self.op(f"jmp\t{instr.false_target}")
-        elif isinstance(instr, ir.IRRet):
-            if instr.value is not None:
-                if instr.is_float or self._is_float_operand(instr.value):
-                    self.read_float(instr.value, "%xmm0")
-                else:
-                    self.read_int(instr.value, "%rax")
-            if index != len(self.func.instrs) - 1:
-                self.op(f"jmp\t{self.ret_label}")
-        else:
+        handler = _EMIT_DISPATCH.get(instr.__class__)
+        if handler is None:
             raise NotImplementedError(f"x86 backend cannot emit {type(instr).__name__}")
+        handler(self, instr, index)
+
+    def _emit_label(self, instr: ir.IRLabel, index: int) -> None:
+        self.label(instr.name)
+
+    def _emit_const(self, instr: ir.IRConst, index: int) -> None:
+        if instr.dst.is_float:
+            self.write_float(self.read_float(float(instr.value), "%xmm14"), instr.dst)
+        else:
+            self.write_int(self.read_int(int(instr.value), "%r10"), instr.dst)
+
+    def _emit_move(self, instr: ir.IRMove, index: int) -> None:
+        if instr.dst.is_float or self._is_float_operand(instr.src):
+            self.write_float(self.read_float(instr.src, "%xmm14"), instr.dst)
+        else:
+            self.write_int(self.read_int(instr.src, "%r10"), instr.dst)
+
+    def _emit_frame_addr(self, instr: ir.IRFrameAddr, index: int) -> None:
+        self.op(f"leaq\t{self._slot_addr(instr.slot)}, %r10")
+        self.write_int("%r10", instr.dst)
+
+    def _emit_global_addr(self, instr: ir.IRGlobalAddr, index: int) -> None:
+        if (
+            instr.symbol not in self.string_literals
+            and instr.symbol not in self.used_globals
+        ):
+            self.used_globals.append(instr.symbol)
+        self.op(f"leaq\t{instr.symbol}(%rip), %r10")
+        self.write_int("%r10", instr.dst)
+
+    def _emit_jump(self, instr: ir.IRJump, index: int) -> None:
+        if instr.target != self._next_label(index):
+            self.op(f"jmp\t{instr.target}")
+
+    def _emit_branch(self, instr: ir.IRBranch, index: int) -> None:
+        self.read_int(instr.cond, "%r10")
+        self.op("testq\t%r10, %r10")
+        self.op(f"jne\t{instr.true_target}")
+        if instr.false_target != self._next_label(index):
+            self.op(f"jmp\t{instr.false_target}")
+
+    def _emit_ret(self, instr: ir.IRRet, index: int) -> None:
+        if instr.value is not None:
+            if instr.is_float or self._is_float_operand(instr.value):
+                self.read_float(instr.value, "%xmm0")
+            else:
+                self.read_int(instr.value, "%rax")
+        if index != len(self.func.instrs) - 1:
+            self.op(f"jmp\t{self.ret_label}")
 
     def _extend(self, scratch: str, bits: int, unsigned: bool) -> None:
         """Restore the full-width register invariant after a narrow op.
@@ -347,7 +355,7 @@ class _Emitter:
             return
         self.op(f"movslq\t{_subreg(scratch, 4)}, {scratch}")
 
-    def _emit_binop(self, instr: ir.IRBinOp) -> None:
+    def _emit_binop(self, instr: ir.IRBinOp, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.left, "%xmm14")
             self.read_float(instr.right, "%xmm15")
@@ -393,7 +401,7 @@ class _Emitter:
         self._extend("%r10", instr.bits, instr.unsigned)
         self.write_int("%r10", instr.dst)
 
-    def _emit_cmp(self, instr: ir.IRCmp) -> None:
+    def _emit_cmp(self, instr: ir.IRCmp, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.left, "%xmm14")
             self.read_float(instr.right, "%xmm15")
@@ -412,7 +420,7 @@ class _Emitter:
         self.op("movzbq\t%r10b, %r10")
         self.write_int("%r10", instr.dst)
 
-    def _emit_unary(self, instr: ir.IRUnary) -> None:
+    def _emit_unary(self, instr: ir.IRUnary, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.src, "%xmm15")
             self.op("pxor\t%xmm14, %xmm14")
@@ -426,7 +434,7 @@ class _Emitter:
         self._extend("%r10", instr.bits, instr.unsigned)
         self.write_int("%r10", instr.dst)
 
-    def _emit_cast(self, instr: ir.IRCast) -> None:
+    def _emit_cast(self, instr: ir.IRCast, index: int) -> None:
         if instr.kind == "i2f":
             self.read_int(instr.src, "%r10")
             self.op("cvtsi2sdq\t%r10, %xmm14")
@@ -453,7 +461,7 @@ class _Emitter:
         else:
             self.write_int(self.read_int(instr.src, "%r10"), instr.dst)
 
-    def _emit_load(self, instr: ir.IRLoad) -> None:
+    def _emit_load(self, instr: ir.IRLoad, index: int) -> None:
         self.read_int(instr.addr, "%r11")
         mem = f"{instr.offset}(%r11)" if instr.offset else "(%r11)"
         if instr.is_float:
@@ -469,15 +477,11 @@ class _Emitter:
         elif instr.size == 4 and not instr.signed:
             self.op(f"movl\t{mem}, %r10d")
         else:
-            mnemonic = {
-                (1, True): "movsbq", (1, False): "movzbq",
-                (2, True): "movswq", (2, False): "movzwq",
-                (4, True): "movslq",
-            }[(instr.size, instr.signed)]
+            mnemonic = _EXTENDING_LOADS[(instr.size, instr.signed)]
             self.op(f"{mnemonic}\t{mem}, %r10")
         self.write_int("%r10", instr.dst)
 
-    def _emit_store(self, instr: ir.IRStore) -> None:
+    def _emit_store(self, instr: ir.IRStore, index: int) -> None:
         if instr.is_float:
             self.read_float(instr.src, "%xmm14")
             self.read_int(instr.addr, "%r11")
@@ -491,10 +495,9 @@ class _Emitter:
         self.read_int(instr.src, "%r10")
         self.read_int(instr.addr, "%r11")
         mem = f"{instr.offset}(%r11)" if instr.offset else "(%r11)"
-        mnemonic = {1: "movb", 2: "movw", 4: "movl", 8: "movq"}[instr.size]
-        self.op(f"{mnemonic}\t{_subreg('%r10', instr.size)}, {mem}")
+        self.op(f"{_STORES[instr.size]}\t{_subreg('%r10', instr.size)}, {mem}")
 
-    def _emit_call(self, instr: ir.IRCall) -> None:
+    def _emit_call(self, instr: ir.IRCall, index: int) -> None:
         int_index = 0
         float_index = 0
         stack_args: List[ir.Operand] = []
@@ -584,3 +587,26 @@ class _Emitter:
         lines.append('\t.section\t.note.GNU-stack,"",@progbits')
         lines.append("")
         return "\n".join(lines)
+
+
+#: Instruction emitters, keyed by the instruction's exact class (one dict
+#: lookup per instruction instead of an isinstance chain).  A class with no
+#: entry raises NotImplementedError, which the driver reports as a
+#: CompileError.
+_EMIT_DISPATCH = {
+    ir.IRLabel: _Emitter._emit_label,
+    ir.IRConst: _Emitter._emit_const,
+    ir.IRMove: _Emitter._emit_move,
+    ir.IRBinOp: _Emitter._emit_binop,
+    ir.IRCmp: _Emitter._emit_cmp,
+    ir.IRUnary: _Emitter._emit_unary,
+    ir.IRCast: _Emitter._emit_cast,
+    ir.IRLoad: _Emitter._emit_load,
+    ir.IRStore: _Emitter._emit_store,
+    ir.IRFrameAddr: _Emitter._emit_frame_addr,
+    ir.IRGlobalAddr: _Emitter._emit_global_addr,
+    ir.IRCall: _Emitter._emit_call,
+    ir.IRJump: _Emitter._emit_jump,
+    ir.IRBranch: _Emitter._emit_branch,
+    ir.IRRet: _Emitter._emit_ret,
+}

@@ -1,9 +1,10 @@
 """The Mini-C type system.
 
 Types are modelled as immutable-ish dataclasses.  The same representation is
-shared by the type checker (:mod:`repro.lang.typecheck`), the compiler
-(:mod:`repro.compiler`) and the type-inference engine
-(:mod:`repro.typeinfer`).
+shared by the type checker (:mod:`repro.lang.typecheck`), the interpreter
+(:mod:`repro.lang.interpreter`), the compiler (:mod:`repro.compiler`) and
+the testing and analysis tools built on them (the program generator, the IR
+executor and verifier, the native harness).
 """
 
 from __future__ import annotations
@@ -48,6 +49,15 @@ class VoidType(CType):
 #: Integer kinds, ordered by conversion rank.
 _INT_RANKS = {"char": 0, "short": 1, "int": 2, "long": 3, "long long": 4}
 _INT_SIZES = {"char": 1, "short": 2, "int": 4, "long": 8, "long long": 8}
+#: unsigned -> kind -> (value mask, sign bit) for :meth:`IntType.wrap`; the
+#: sign bit is 0 for unsigned kinds, which never wrap negative.
+_WRAP_MASKS: Dict[bool, Dict[str, Tuple[int, int]]] = {
+    unsigned: {
+        kind: ((1 << (8 * size)) - 1, 0 if unsigned else 1 << (8 * size - 1))
+        for kind, size in _INT_SIZES.items()
+    }
+    for unsigned in (False, True)
+}
 
 
 @dataclass(frozen=True)
@@ -80,10 +90,10 @@ class IntType(CType):
 
     def wrap(self, value: int) -> int:
         """Wrap an arbitrary Python int into this type's representable range."""
-        bits = 8 * self.sizeof()
-        value &= (1 << bits) - 1
-        if not self.unsigned and value >= (1 << (bits - 1)):
-            value -= 1 << bits
+        mask, sign_bit = _WRAP_MASKS[self.unsigned][self.kind]
+        value &= mask
+        if value & sign_bit:
+            value -= mask + 1
         return value
 
     def __str__(self) -> str:
@@ -265,15 +275,19 @@ def usual_arithmetic_conversion(left: CType, right: CType) -> CType:
             return DOUBLE
         return FLOAT
     if isinstance(left, IntType) and isinstance(right, IntType):
-        if left.rank == right.rank:
+        # Ranks are read from the table directly: this runs for every
+        # binary operator the checker, interpreter and lowering meet.
+        left_rank = _INT_RANKS[left.kind]
+        right_rank = _INT_RANKS[right.kind]
+        if left_rank == right_rank:
             if left.unsigned or right.unsigned:
                 return IntType(
-                    left.kind if left.rank >= right.rank else right.kind, unsigned=True
+                    left.kind if left_rank >= right_rank else right.kind, unsigned=True
                 )
             return left
-        bigger = left if left.rank > right.rank else right
+        bigger = left if left_rank > right_rank else right
         # Promote to at least int.
-        if bigger.rank < INT.rank:
+        if max(left_rank, right_rank) < _INT_RANKS["int"]:
             return INT
         return bigger
     # Pointers and other cases: fall back to the left type.
@@ -282,7 +296,7 @@ def usual_arithmetic_conversion(left: CType, right: CType) -> CType:
 
 def integer_promote(t: CType) -> CType:
     """Promote small integer types to ``int``."""
-    if isinstance(t, IntType) and t.rank < INT.rank:
+    if isinstance(t, IntType) and _INT_RANKS[t.kind] < _INT_RANKS["int"]:
         return INT
     return t
 

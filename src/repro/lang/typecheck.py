@@ -8,8 +8,9 @@ the system:
 * whether a hypothesis program "compiles" (no unresolved names or type
   errors) — the paper's *Compiles* feature, and
 * the set of *missing declarations* (unknown typedefs, undeclared globals
-  and undeclared functions) — the input to the type-inference engine in
-  :mod:`repro.typeinfer`.
+  and undeclared functions) — a program with any is rejected as a
+  ``type_error`` by the candidate certifier (:mod:`repro.eval.dataset`), the
+  program generator's round-trip check and the test-case reducer.
 """
 
 from __future__ import annotations
